@@ -21,11 +21,10 @@ from .io import Problem, ProblemFileError, emit_problem, load_problem
 from .lift import (is_admissible, is_central, lift_operator,
                    operator_chain_map_holds, pair_chain_map_holds,
                    raise_arity, raise_arity_rep)
-from .linalg import rank
 from .multilinear import tail_antisymmetrize
-from .rota_baxter import (RBOperator, Wedge, check_rb, operator_cochain_dim,
-                          rb_coboundary_matrix)
-from .cochain import cochain_basis, coboundary_matrix
+from .rota_baxter import (RBOperator, Wedge, check_rb, rb_coboundary_matrix,
+                          wedge_basis)
+from .cochain import coboundary_matrix, cohomology_table
 
 
 def _fmt_rat(x: Fraction) -> str:
@@ -104,30 +103,15 @@ def cmd_verify(prob: Problem) -> dict:
 
 
 def cmd_cohomology(prob: Problem, max_m: int, target: str) -> dict:
-    table = []
     checks: list[dict] = []
     if target == "pair":
-        dims = {}
-        ranks = {}
-        for m in range(1, max_m + 1):
-            dims[m] = len(cochain_basis(prob.dim_g, prob.n, m, prob.dim_v))
-            ranks[m] = rank(coboundary_matrix(prob.rep, m))
-        for m in range(1, max_m + 1):
-            kernel = dims[m] - ranks[m]
-            h = kernel if m == 1 else kernel - ranks[m - 1]
-            table.append({"m": m, "dim_cochains": dims[m], "rank_d": ranks[m], "dim_H": h})
+        table = cohomology_table(lambda m: coboundary_matrix(prob.rep, m), 1, max_m)
     else:
         if prob.operator is None:
             raise ProblemFileError("operator cohomology needs T")
         t = RBOperator(prob.rep, prob.operator)
-        rb = check_rb(prob.rep, prob.operator)
-        checks.append(_check_entry("rota_baxter", rb))
-        ranks = {m: rank(rb_coboundary_matrix(t, m)) for m in range(0, max_m + 1)}
-        for m in range(0, max_m + 1):
-            dim_cm = operator_cochain_dim(t, m)
-            kernel = dim_cm - ranks[m]
-            h = kernel if m == 0 else kernel - ranks[m - 1]
-            table.append({"m": m, "dim_cochains": dim_cm, "rank_d": ranks[m], "dim_H": h})
+        checks.append(_check_entry("rota_baxter", check_rb(prob.rep, prob.operator)))
+        table = cohomology_table(lambda m: rb_coboundary_matrix(t, m), 0, max_m)
     return {"command": "cohomology", "target": target, "checks": checks, "table": table}
 
 
@@ -212,7 +196,6 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
                       Fraction(0))
             normalized = Fraction((-1) ** (prob.n - 1)) * fx0 == 1
             if normalized:
-                from nlie.rota_baxter import wedge_basis
                 ok = all(
                     operator_chain_map_holds(
                         t, prob.covector, x0,

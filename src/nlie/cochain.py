@@ -8,11 +8,11 @@ come from :mod:`nlie.combinat`.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from .combinat import shuffles
-from .core import (NLieAlgebra, Representation, check_filippov,
-                   check_representation, semidirect_blockmap)
-from .linalg import Matrix, Vec, rank, vadd, viszero, vscale, vsub, vzero
+from .core import NLieAlgebra, Representation, semidirect_blockmap
+from .linalg import Matrix, Vec, basis_vec, rank, vadd, viszero, vscale, vsub, vzero
 from .multilinear import (AnyMap, BlockMap, LazyMap, SpaceSpec, apply_map,
                           bidegree_of, is_zero_map, iter_keys, materialize)
 
@@ -71,42 +71,58 @@ def cochain_basis(d: int, n: int, m: int, dv: int):
     return [(key, c) for key in iter_keys(d, n - 1, m - 1) for c in range(dv)]
 
 
+def _scatter(images: Iterable[dict], dst: list) -> Matrix:
+    """Matrix whose j-th column holds the j-th image table's coordinates over
+    the destination basis `dst` of (key, coordinate) pairs."""
+    pos = {b: i for i, b in enumerate(dst)}
+    cols = []
+    for table in images:
+        col = [Fraction(0)] * len(dst)
+        for key, v in table.items():
+            for i, x in enumerate(v):
+                if x != 0:
+                    col[pos[(key, i)]] = x
+        cols.append(col)
+    return Matrix.from_columns(cols) if cols else Matrix.zero(len(dst), 0)
+
+
 def coboundary_matrix(rep: Representation, m: int) -> Matrix:
     """Matrix of the differential from m-cochains to (m+1)-cochains."""
     alg = rep.algebra
     d, n, dv = alg.dim, alg.n, rep.dim_v
-    src = cochain_basis(d, n, m, dv)
-    dst = cochain_basis(d, n, m + 1, dv)
-    dst_pos = {b: i for i, b in enumerate(dst)}
-    cols = []
     source = SpaceSpec(d, "g")
     target = SpaceSpec(dv, "V")
-    for key, c in src:
-        e = BlockMap(n, m - 1, source, target,
-                     {key: tuple(Fraction(1 if i == c else 0) for i in range(dv))})
-        de = coboundary(rep, e)
-        col = [Fraction(0)] * len(dst)
-        for k2, v in de.table.items():
-            for i, x in enumerate(v):
-                if x != 0:
-                    col[dst_pos[(k2, i)]] = x
-        cols.append(tuple(col))
-    if not cols:
-        return Matrix.zero(len(dst), 0)
-    return Matrix.from_columns(cols)
+    images = (coboundary(rep, BlockMap(n, m - 1, source, target,
+                                       {key: basis_vec(dv, c)})).table
+              for key, c in cochain_basis(d, n, m, dv))
+    return _scatter(images, cochain_basis(d, n, m + 1, dv))
+
+
+def cohomology_table(d: Callable[[int], Matrix], first: int, last: int) -> list[dict]:
+    """Rows {m, dim_cochains, rank_d, dim_H} for degrees first..last of the
+    complex whose m-th differential matrix is d(m).
+
+    Each d_m is built and ranked once; dim C^m is its column count, and
+    dim H^m = dim C^m − rank d_m − rank d_{m−1}, with nothing subtracted at
+    the first degree.
+    """
+    table = []
+    prev = 0
+    for m in range(first, last + 1):
+        d_m = d(m)
+        r = rank(d_m)
+        table.append({"m": m, "dim_cochains": d_m.cols, "rank_d": r,
+                      "dim_H": d_m.cols - r - prev})
+        prev = r
+    return table
 
 
 def cohomology_dim(rep: Representation, m: int) -> int:
     """dim ker(d_m) − rank(d_{m−1}), with nothing subtracted at m = 1."""
     if m < 1:
         raise ValueError("cochain degree starts at 1")
-    alg = rep.algebra
-    dim_cm = len(cochain_basis(alg.dim, alg.n, m, rep.dim_v))
-    d_m = coboundary_matrix(rep, m)
-    kernel = dim_cm - rank(d_m)
-    if m == 1:
-        return kernel
-    return kernel - rank(coboundary_matrix(rep, m - 1))
+    rows = cohomology_table(lambda k: coboundary_matrix(rep, k), max(1, m - 1), m)
+    return rows[-1]["dim_H"]
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +179,9 @@ def graded_bracket(P: AnyMap, Q: AnyMap) -> LazyMap:
     return LazyMap(P.n, P.blocks + Q.blocks, P.source, P.target, fn)
 
 
-def twisted_differential(pi: AnyMap, f: AnyMap, check: bool = True) -> LazyMap:
-    """d_pi = [pi, −] for a square-zero element; pass check=False to skip
-    re-validating [pi, pi] = 0 on repeated calls."""
-    if check and not is_zero_map(graded_bracket(pi, pi)):
+def twisted_differential(pi: AnyMap, f: AnyMap) -> LazyMap:
+    """d_pi = [pi, −] for a square-zero element, which is re-validated."""
+    if not is_zero_map(graded_bracket(pi, pi)):
         raise ValueError("twisting element does not square to zero")
     return graded_bracket(pi, f)
 
@@ -179,11 +194,6 @@ def check_mc_pair(alg: NLieAlgebra, rep: Representation) -> bool:
     """
     delta = semidirect_blockmap(rep)
     return is_zero_map(graded_bracket(delta, delta))
-
-
-def check_pair_checkers_agree(alg: NLieAlgebra, rep: Representation) -> bool:
-    direct = bool(check_filippov(alg)) and bool(check_representation(rep))
-    return direct == check_mc_pair(alg, rep)
 
 
 def check_bidegree_additivity(f: AnyMap, g: AnyMap) -> bool:

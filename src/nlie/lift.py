@@ -41,10 +41,6 @@ def admissible_covectors(alg: NLieAlgebra) -> list[Vec]:
     return kernel_basis(m)
 
 
-def _pair(f: Vec, i: int) -> Fraction:
-    return f[i]
-
-
 def raise_arity(alg: NLieAlgebra, f: Sequence) -> NLieAlgebra:
     """The (n+1)-ary bracket weighted by an admissible covector."""
     fv = vector(f)

@@ -80,15 +80,17 @@ class Matrix:
 
     @staticmethod
     def from_columns(cols: Sequence[Vec]) -> "Matrix":
-        if not cols:
-            return Matrix.zero(0, 0)
+        if not cols or not cols[0]:
+            return Matrix.zero(0, len(cols))
         return Matrix([[c[i] for c in cols] for i in range(len(cols[0]))])
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.entries[ij[0]][ij[1]]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.entries == other.entries
+        return (isinstance(other, Matrix)
+                and (self.rows, self.cols) == (other.rows, other.cols)
+                and self.entries == other.entries)
 
     def __hash__(self):
         return hash(self.entries)

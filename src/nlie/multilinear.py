@@ -32,9 +32,6 @@ class SpaceSpec:
     label: str = ""
     split: Optional[int] = None
 
-    def is_sum(self) -> bool:
-        return self.split is not None
-
 
 def sum_space(dim_g: int, dim_v: int) -> SpaceSpec:
     return SpaceSpec(dim_g + dim_v, "g+V", split=dim_g)
@@ -122,10 +119,6 @@ class LazyMap:
 
 
 AnyMap = Union[BlockMap, LazyMap]
-
-
-def zero_map(n: int, blocks: int, source: SpaceSpec, target: SpaceSpec) -> BlockMap:
-    return BlockMap(n, blocks, source, target)
 
 
 def iter_keys(dim: int, block_size: int, blocks: int) -> Iterator[Key]:

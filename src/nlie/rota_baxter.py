@@ -16,11 +16,11 @@ from typing import Optional, Sequence, Union
 from .combinat import blocks_of
 from .core import (CheckReport, NLieAlgebra, NPreLie, Representation,
                    semidirect_blockmap)
-from .linalg import (Matrix, Vec, basis_vec, rank, vadd, viszero,
-                     vscale, vsub, vzero)
+from .linalg import Matrix, Vec, basis_vec, vadd, viszero, vscale, vsub, vzero
 from .multilinear import (BlockMap, SpaceSpec, iter_keys,
                           lift_operator_map, project_operator_part)
-from .cochain import coboundary, coboundary_matrix, cochain_basis, graded_bracket
+from .cochain import (_scatter, coboundary, coboundary_matrix, cochain_basis,
+                      cohomology_table, graded_bracket)
 
 
 @dataclass
@@ -83,6 +83,16 @@ class RBOperator:
         return self.matrix.mul_vec(vv)
 
 
+def _act_sum(rep: Representation, tvs: Sequence[Vec], vs: Sequence[int]) -> Vec:
+    """Σ_i (−1)^{n−1−i} ρ(Tv_1, .., Tv_i omitted, .., Tv_n) v_i, in V."""
+    n = len(vs)
+    total = vzero(rep.dim_v)
+    for i in range(n):
+        inner = rep.act(tvs[:i] + tvs[i + 1:], vs[i])
+        total = vadd(total, vscale(inner, Fraction((-1) ** (n - 1 - i))))
+    return total
+
+
 def check_rb(rep: Representation, t: Matrix) -> CheckReport:
     """The defining identity on all basis n-tuples of V, with witness."""
     alg = rep.algebra
@@ -91,11 +101,7 @@ def check_rb(rep: Representation, t: Matrix) -> CheckReport:
     for vs in itertools.combinations(range(dv), n):
         tvs = [op.apply(v) for v in vs]
         lhs = alg.bracket(tvs)
-        rhs = vzero(alg.dim)
-        for i in range(n):
-            rest = tvs[:i] + tvs[i + 1:]
-            inner = rep.act(rest, vs[i])
-            rhs = vadd(rhs, vscale(t.mul_vec(inner), Fraction((-1) ** (n - 1 - i))))
+        rhs = t.mul_vec(_act_sum(rep, tvs, vs))
         if lhs != rhs:
             return CheckReport(False, witness=vs, lhs=lhs, rhs=rhs,
                                detail="operator identity fails")
@@ -156,12 +162,7 @@ def derived_bracket_tt_direct(ctx: DerivedContext, t: Matrix) -> BlockMap:
     for key in iter_keys(dv, n - 1, 1):
         vs = list(key[0]) + [key[-1]]
         tvs = [op.apply(v) for v in vs]
-        val = alg.bracket(tvs)
-        for i in range(n):
-            rest = tvs[:i] + tvs[i + 1:]
-            inner = rep.act(rest, vs[i])
-            val = vsub(val, vscale(t.mul_vec(inner), Fraction((-1) ** (n - 1 - i))))
-        val = vscale(val, nf)
+        val = vscale(vsub(alg.bracket(tvs), t.mul_vec(_act_sum(rep, tvs, vs))), nf)
         if not viszero(val):
             table[key] = val
     return BlockMap(n, 1, src, tgt, table)
@@ -211,11 +212,7 @@ def induced_bracket(t: RBOperator) -> NLieAlgebra:
     space = SpaceSpec(dv, "V")
     structure = {}
     for key in itertools.combinations(range(dv), n):
-        tvs = [t.apply(v) for v in key]
-        val = vzero(dv)
-        for i in range(n):
-            rest = tvs[:i] + tvs[i + 1:]
-            val = vadd(val, vscale(rep.act(rest, key[i]), Fraction((-1) ** (n - 1 - i))))
+        val = _act_sum(rep, [t.apply(v) for v in key], key)
         if not viszero(val):
             structure[key] = val
     return NLieAlgebra(n, space, structure)
@@ -300,20 +297,9 @@ def operator_cochain_dim(t: RBOperator, m: int) -> int:
 def wedge_coboundary_matrix(t: RBOperator) -> Matrix:
     """Matrix of the degree-0 differential in the lexicographic bases."""
     n, dg, dv = t.algebra.n, t.algebra.dim, t.rep.dim_v
-    dst = cochain_basis(dv, n, 1, dg)
-    dst_pos = {b: i for i, b in enumerate(dst)}
-    cols = []
-    for block in wedge_basis(dg, n - 1):
-        d = wedge_coboundary(t, Wedge(dg, n - 1, {block: Fraction(1)}))
-        col = [Fraction(0)] * len(dst)
-        for key, v in d.table.items():
-            for i, x in enumerate(v):
-                if x != 0:
-                    col[dst_pos[(key, i)]] = x
-        cols.append(tuple(col))
-    if not cols:
-        return Matrix.zero(len(dst), 0)
-    return Matrix.from_columns(cols)
+    images = (wedge_coboundary(t, Wedge(dg, n - 1, {block: Fraction(1)})).table
+              for block in wedge_basis(dg, n - 1))
+    return _scatter(images, cochain_basis(dv, n, 1, dg))
 
 
 def rb_coboundary_matrix(t: RBOperator, m: int) -> Matrix:
@@ -326,11 +312,8 @@ def rb_cohomology_dim(t: RBOperator, m: int) -> int:
     """Cocycles modulo coboundaries; degree 0 has no coboundaries."""
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    dim_cm = operator_cochain_dim(t, m)
-    kernel = dim_cm - rank(rb_coboundary_matrix(t, m))
-    if m == 0:
-        return kernel
-    return kernel - rank(rb_coboundary_matrix(t, m - 1))
+    rows = cohomology_table(lambda k: rb_coboundary_matrix(t, k), max(0, m - 1), m)
+    return rows[-1]["dim_H"]
 
 
 def cochain_to_vector(t: RBOperator, f: BlockMap, m: int) -> Vec:

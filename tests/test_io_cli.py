@@ -169,6 +169,18 @@ def test_cli_deform_check_and_extend(tmp_path, capsys):
     assert report["extension"] != "obstructed"
 
 
+def test_cli_deform_extend_with_empty_degree2_space(tmp_path, capsys):
+    """dim V = 1 < n - 1 leaves no degree-2 cochains; d_1 is 0 x 2 and every
+    1-cochain solves the empty system, so the zero extension is returned."""
+    payload = {"schema_version": "1", "n": 3, "g": {"dim": 2, "bracket": []},
+               "V": {"dim": 1}, "rho": [], "T": [["1"], ["0"]],
+               "deformation": [[["0"], ["1"]]]}
+    path = write(tmp_path, "p.json", payload)
+    assert main(["deform", path, "--action", "extend", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["extension"] == [["0"], ["0"]]
+
+
 def test_cli_deform_invalid_jet_reports_order(tmp_path, capsys):
     """Valid first coefficient, garbage second: the order-2 equation fails
     and the failing order plus tuple surface in the report."""

@@ -36,6 +36,10 @@ def test_kernel_identity_empty():
 def test_kernel_zero_full():
     kb = kernel_basis(Matrix.zero(2, 3))
     assert len(kb) == 3
+    empty = Matrix.from_columns([(), (), ()])
+    assert (empty.rows, empty.cols) == (0, 3)
+    assert len(kernel_basis(empty)) == 3
+    assert empty == Matrix.zero(0, 3) != Matrix.zero(0, 2)
 
 
 def test_kernel_single_row():

@@ -253,6 +253,9 @@ def test_small_module_spaces_collapse_to_zero(algebras):
     assert operator_cochain_dim(t, 2) == 0
     f = matrix_to_cochain(rep, random_matrix(rng, 4, 1))
     assert rb_coboundary(t, f).is_zero()
+    d1 = rb_coboundary_matrix(t, 1)
+    assert (d1.rows, d1.cols) == (0, 4)
+    assert len(kernel_basis(d1)) == 4
     assert rb_cohomology_dim(t, 1) == 4
     assert rb_cohomology_dim(t, 2) == 0
 
