@@ -263,6 +263,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--json", action="store_true", dest="as_json")
 
     args = parser.parse_args(argv)
+    if args.command == "cohomology":
+        lowest = 1 if args.target == "pair" else 0
+        if args.max_m < lowest:
+            parser.error(f"--max-m must be >= {lowest} for --target {args.target}")
     start = time.monotonic()
     try:
         prob = load_problem(args.file)

@@ -42,7 +42,9 @@ def coboundary(rep: Representation, f: AnyMap) -> BlockMap:
                         continue
                     nb = X[k][:i] + (w,) + X[k][i + 1:]
                     rest = list(X[:j]) + list(X[j + 1:k]) + [nb] + list(X[k + 1:])
-                    total = vadd(total, vscale(apply_map(f, rest, t), sj))
+                    v = apply_map(f, rest, t)
+                    if not viszero(v):
+                        total = vadd(total, vscale(v, sj))
             # block bracketed with the tail
             w = alg.bracket([*X[j], t])
             if not viszero(w):

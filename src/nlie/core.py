@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .combinat import blocks_of, sort_with_sign
-from .linalg import (Matrix, Vec, basis_vec, solve_linear, vadd, vector,
-                     viszero, vscale, vzero)
+from .linalg import (Matrix, Vec, basis_vec, rank, solve_linear, vadd,
+                     vector, viszero, vscale, vzero)
 from .multilinear import (BlockMap, SpaceSpec, apply_map, lift_action,
                           lift_bracket, sum_space)
 
@@ -377,14 +377,13 @@ class SymplecticForm:
 
 
 def check_symplectic(alg: NLieAlgebra, form: SymplecticForm) -> CheckReport:
-    from .linalg import rank as _rank
     d = alg.dim
     w = form.omega
     if (w.rows, w.cols) != (d, d):
         return CheckReport(False, detail="form shape mismatch")
     if w.transpose() != w.scale(Fraction(-1)):
         return CheckReport(False, detail="form not skew-symmetric")
-    if _rank(w) != d:
+    if rank(w) != d:
         return CheckReport(False, detail="form degenerate")
     n = alg.n
     for xs in itertools.combinations(range(d), n):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 from .core import NLieAlgebra, Representation
 from .linalg import Matrix, Vec, vector
@@ -71,6 +71,24 @@ def _sparse_vec(raw: Any, dim: int, where: str) -> Vec:
     return tuple(out)
 
 
+def _objects(raw: Any, where: str) -> Iterator[tuple[str, dict]]:
+    """(location, entry) for each entry of a list of objects."""
+    if not isinstance(raw, list):
+        raise ProblemFileError(f"{where}: expected a list of objects")
+    for i, item in enumerate(raw):
+        loc = f"{where}[{i}]"
+        if not isinstance(item, dict):
+            raise ProblemFileError(f"{loc}: expected an object")
+        yield loc, item
+
+
+def _claim(seen: dict, key: Any, where: str, what: str) -> None:
+    """Record that `where` gives `key`; a second entry for it is an error."""
+    if key in seen:
+        raise ProblemFileError(f"{where}: duplicate {what}, already given at {seen[key]}")
+    seen[key] = where
+
+
 def _matrix(raw: Any, rows: int, cols: int, where: str) -> Matrix:
     if not isinstance(raw, list) or len(raw) != rows or \
             any(not isinstance(r, list) or len(r) != cols for r in raw):
@@ -106,10 +124,8 @@ class Problem:
         return RBOperator(self.rep, self.operator)
 
 
-def _parse_cochain(raw: Any, n: int, dim_g: int, dim_v: int, idx: int) -> tuple[str, BlockMap]:
-    where = f"cochains[{idx}]"
-    if not isinstance(raw, dict):
-        raise ProblemFileError(f"{where}: expected an object")
+def _parse_cochain(raw: dict, n: int, dim_g: int, dim_v: int,
+                   where: str) -> tuple[str, BlockMap]:
     space = raw.get("space")
     if space not in ("pair", "operator"):
         raise ProblemFileError(f"{where}: space must be 'pair' or 'operator'")
@@ -124,7 +140,8 @@ def _parse_cochain(raw: Any, n: int, dim_g: int, dim_v: int, idx: int) -> tuple[
         sdim, tdim = dim_v, dim_g
         src, tgt = SpaceSpec(dim_v, "V"), SpaceSpec(dim_g, "g")
     table = {}
-    for e in raw.get("entries", []):
+    seen: dict = {}
+    for loc, e in _objects(raw.get("entries", []), f"{where}.entries"):
         braw = e.get("blocks", [])
         if not isinstance(braw, list) or len(braw) != blocks:
             raise ProblemFileError(f"{where}: expected {blocks} blocks per entry")
@@ -132,7 +149,9 @@ def _parse_cochain(raw: Any, n: int, dim_g: int, dim_v: int, idx: int) -> tuple[
         tail = e.get("tail")
         if not isinstance(tail, int) or not 1 <= tail <= sdim:
             raise ProblemFileError(f"{where}: tail out of range")
-        table[key_blocks + (tail - 1,)] = _sparse_vec(e.get("value", {}), tdim, where)
+        key = key_blocks + (tail - 1,)
+        _claim(seen, key, loc, "(blocks, tail)")
+        table[key] = _sparse_vec(e.get("value", {}), tdim, where)
     return space, BlockMap(n, blocks, src, tgt, table)
 
 
@@ -154,9 +173,10 @@ def parse_problem(text: str) -> Problem:
         raise ProblemFileError("g.dim must be a positive integer")
     dim_g = g["dim"]
     structure = {}
-    for i, item in enumerate(g.get("bracket", [])):
-        where = f"g.bracket[{i}]"
+    seen: dict = {}
+    for where, item in _objects(g.get("bracket", []), "g.bracket"):
         args = _indices(item.get("args"), n, dim_g, where)
+        _claim(seen, args, where, "args")
         structure[args] = _sparse_vec(item.get("value", {}), dim_g, where)
     algebra = NLieAlgebra(n, SpaceSpec(dim_g, "g"), structure)
     v = raw.get("V")
@@ -164,9 +184,10 @@ def parse_problem(text: str) -> Problem:
         raise ProblemFileError("V.dim must be a nonnegative integer")
     dim_v = v["dim"]
     action = {}
-    for i, item in enumerate(raw.get("rho", [])):
-        where = f"rho[{i}]"
+    seen = {}
+    for where, item in _objects(raw.get("rho", []), "rho"):
         block = _indices(item.get("block"), n - 1, dim_g, where)
+        _claim(seen, block, where, "block")
         action[block] = _matrix(item.get("matrix"), dim_v, dim_v, where)
     rep = Representation(algebra, SpaceSpec(dim_v, "V"), action)
     prob = Problem(n, algebra, rep)
@@ -187,8 +208,8 @@ def parse_problem(text: str) -> Problem:
         if not isinstance(x0, list) or len(x0) != dim_g + dim_v:
             raise ProblemFileError("x0 must be a list of dim(g)+dim(V) rationals")
         prob.x0 = vector([_rat(x, "x0") for x in x0])
-    for i, c in enumerate(raw.get("cochains", [])):
-        prob.cochains.append(_parse_cochain(c, n, dim_g, dim_v, i))
+    for where, c in _objects(raw.get("cochains", []), "cochains"):
+        prob.cochains.append(_parse_cochain(c, n, dim_g, dim_v, where))
     return prob
 
 

@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Everything here works with `fractions.Fraction` entries, so ranks, kernels
-and solutions are exact: a zero really is zero.  Matrices are small and
-dense (desk-scale dimensions), stored row-major as tuples of tuples.
+and solutions are exact: a zero really is zero.  Matrices are stored dense,
+row-major as tuples of tuples.  Elimination is sparse and fraction-free:
+`rank`, `kernel_basis` and `solve_linear` all read one reduced echelon form
+whose rows are dicts of nonzero entries, kept as primitive integer rows.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -138,52 +141,76 @@ class Matrix:
         return self.matmul(other) - other.matmul(self)
 
 
-def _echelon(entries: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Row-reduce a copy; returns (reduced rows, pivot column list)."""
-    m = [list(row) for row in entries]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """`row` divided by the gcd of its entries; an empty row stays empty."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
+    """The nonzero entries of `row`, scaled to a primitive integer row."""
+    nz = {j: x for j, x in enumerate(row) if x}
+    den = lcm(*(x.denominator for x in nz.values()))
+    return _primitive({j: x.numerator * (den // x.denominator) for j, x in nz.items()})
+
+
+def _eliminate(row: dict[int, int], pivot: dict[int, int], c: int) -> dict[int, int]:
+    """row·p − pivot·a with a = row[c] and p = pivot[c], made primitive."""
+    a, p = row[c], pivot[c]
+    g = gcd(a, p)
+    a, p = a // g, p // g
+    out = {j: x * p for j, x in row.items()}
+    for j, y in pivot.items():
+        x = out.get(j, 0) - a * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return _primitive(out)
+
+
+def _rref(entries: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[int, dict[int, int]]]:
+    """Reduced row echelon form, sparse and fraction-free.
+
+    Returns (pivot column, row) pairs in pivot order.  Each row is a
+    primitive integer dict of its nonzero entries, zero in every other pivot
+    column and before its own pivot; dividing it by its pivot entry gives the
+    row of the (unique) reduced echelon form.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for raw in entries:
+        row = _integer_row(raw)
+        for c in [c for c in row if c in pivots]:
+            row = _eliminate(row, pivots[c], c)
+        if not row:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = _ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+        c = min(row)
+        for pc, prow in pivots.items():
+            if c in prow:
+                pivots[pc] = _eliminate(prow, row, c)
+        pivots[c] = row
+        if len(pivots) == ncols:
             break
-    return m, pivots
+    return sorted(pivots.items())
 
 
 def rank(m: Matrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return len(_echelon(m.entries)[1])
+    return len(_rref(m.entries, m.cols))
 
 
 def kernel_basis(m: Matrix) -> list[Vec]:
     """Basis of the exact null space {v : m·v = 0}; size = cols − rank."""
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [basis_vec(m.cols, j) for j in range(m.cols)]
-    red, pivots = _echelon(m.entries)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    red = _rref(m.entries, m.cols)
+    pivot_set = {pc for pc, _ in red}
     basis = []
-    for fc in free:
+    for fc in range(m.cols):
+        if fc in pivot_set:
+            continue
         v = [_ZERO] * m.cols
         v[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for pc, row in red:
+            if fc in row:
+                v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
     return basis
 
@@ -193,13 +220,11 @@ def solve_linear(a: Matrix, b: Sequence) -> Optional[Vec]:
     b = vector(b)
     if a.rows != len(b):
         raise ValueError("shape mismatch")
-    if a.cols == 0:
-        return () if viszero(b) else None
-    aug = [list(row) + [bi] for row, bi in zip(a.entries, b)]
-    red, pivots = _echelon(aug)
-    if a.cols in pivots:
+    red = _rref([row + (bi,) for row, bi in zip(a.entries, b)], a.cols + 1)
+    if red and red[-1][0] == a.cols:
         return None
     x = [_ZERO] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][a.cols]
+    for pc, row in red:
+        if a.cols in row:
+            x[pc] = Fraction(row[a.cols], row[pc])
     return tuple(x)

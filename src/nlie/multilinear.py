@@ -149,13 +149,17 @@ def apply_map(m: AnyMap, blocks: Sequence[Sequence[Element]], tail: Element) -> 
                         nb[ei] = idx
                         nbs = list(blocks)
                         nbs[bi] = nb
-                        total = vadd(total, vscale(apply_map(m, nbs, tail), c))
+                        v = apply_map(m, nbs, tail)
+                        if not viszero(v):
+                            total = vadd(total, vscale(v, c))
                 return total
     if not isinstance(tail, int):
         total = vzero(m.target.dim)
         for idx, c in enumerate(tail):
             if c != 0:
-                total = vadd(total, vscale(apply_map(m, blocks, idx), c))
+                v = apply_map(m, blocks, idx)
+                if not viszero(v):
+                    total = vadd(total, vscale(v, c))
         return total
     sign = 1
     key = []

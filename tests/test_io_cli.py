@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -76,6 +77,64 @@ def test_unsorted_block():
         parse_problem(json.dumps(bad))
 
 
+def test_duplicate_bracket_args_rejected(tmp_path, capsys):
+    """A second entry for the same args would silently overwrite the first."""
+    bad = dict(NILP_FILE)
+    bad["g"] = {"dim": 4, "bracket": [{"args": [1, 2, 3], "value": {"4": 1}},
+                                      {"args": [1, 2, 3], "value": {"1": 1}}]}
+    with pytest.raises(ProblemFileError,
+                       match=r"g\.bracket\[1\]: duplicate args.*g\.bracket\[0\]"):
+        parse_problem(json.dumps(bad))
+    assert main(["verify", write(tmp_path, "p.json", bad)]) == 2
+    assert "g.bracket[1]" in capsys.readouterr().err
+
+
+def test_duplicate_rho_block_rejected(tmp_path, capsys):
+    bad = dict(NILP_FILE)
+    zero = [["0"] * 4 for _ in range(4)]
+    bad["rho"] = NILP_FILE["rho"] + [{"block": [1, 2], "matrix": zero}]
+    with pytest.raises(ProblemFileError, match=r"rho\[1\]: duplicate block.*rho\[0\]"):
+        parse_problem(json.dumps(bad))
+    assert main(["verify", write(tmp_path, "p.json", bad)]) == 2
+    assert "rho[1]" in capsys.readouterr().err
+
+
+def test_duplicate_cochain_entry_rejected(tmp_path, capsys):
+    bad = dict(ONE_BLOCK_FILE)
+    entry = {"blocks": [[1, 2]], "tail": 1, "value": {"1": "1"}}
+    bad["cochains"] = [{"space": "pair", "degree": 2,
+                        "entries": [entry, {**entry, "value": {"2": "1"}}]}]
+    with pytest.raises(ProblemFileError,
+                       match=r"cochains\[0\]\.entries\[1\]: duplicate .*"
+                             r"cochains\[0\]\.entries\[0\]"):
+        parse_problem(json.dumps(bad))
+    assert main(["lift", write(tmp_path, "p.json", bad)]) == 2
+    assert "cochains[0].entries[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, where", [
+    (("g", "bracket"), "g.bracket[1]"),
+    (("rho",), "rho[1]"),
+    (("cochains",), "cochains[1]"),
+    (("cochains", 0, "entries"), "cochains[0].entries[1]"),
+])
+def test_non_object_entry_rejected(tmp_path, capsys, field, where):
+    """A list entry that is not an object is an input error with its
+    location, not a traceback."""
+    bad = json.loads(json.dumps(ONE_BLOCK_FILE))
+    bad["g"]["bracket"] = [{"args": [1, 2, 3], "value": {}}]
+    bad["cochains"] = [{"space": "pair", "degree": 1, "entries": [
+        {"blocks": [], "tail": 1, "value": {"1": "1"}}]}]
+    target = bad
+    for k in field:
+        target = target[k]
+    target.append(5)
+    with pytest.raises(ProblemFileError, match=re.escape(f"{where}: expected an object")):
+        parse_problem(json.dumps(bad))
+    assert main(["verify", write(tmp_path, "p.json", bad)]) == 2
+    assert where in capsys.readouterr().err
+
+
 def test_json_error_has_position():
     with pytest.raises(ProblemFileError, match="line"):
         parse_problem("{ not json")
@@ -147,6 +206,22 @@ def test_cli_cohomology_operator_table(tmp_path, capsys):
     assert table[0]["dim_H"] == 3
     assert table[1]["dim_H"] == 6
     assert table[2]["dim_H"] == 6
+
+
+@pytest.mark.parametrize("target, lowest", [("pair", 1), ("operator", 0)])
+def test_cli_cohomology_max_m_range(tmp_path, capsys, target, lowest):
+    """Below the first degree the table would be empty with verdict true;
+    the CLI refuses such a --max-m as an input error."""
+    path = write(tmp_path, "p.json", ONE_BLOCK_FILE)
+    for bad in (lowest - 1, -3):
+        with pytest.raises(SystemExit) as exc:
+            main(["cohomology", path, "--max-m", str(bad), "--target", target])
+        assert exc.value.code == 2
+        assert "--max-m" in capsys.readouterr().err
+    assert main(["cohomology", path, "--max-m", str(lowest), "--target", target,
+                 "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [row["m"] for row in report["table"]] == [lowest]
 
 
 def test_cli_machine_output_deterministic(tmp_path, capsys):
