@@ -54,15 +54,15 @@ def coboundary(rep: Representation, f: AnyMap) -> BlockMap:
             rest = list(X[:j]) + list(X[j + 1:])
             v = apply_map(f, rest, t)
             if not viszero(v):
-                total = vadd(total, vscale(rep.operator(list(X[j])).mul_vec(v), -sj))
+                total = vadd(total, vscale(rep.act(X[j], v), -sj))
         # action of the last block's entries paired with the tail
         last = X[m - 1]
         for i in range(n - 1):
             v = apply_map(f, list(X[:m - 1]), last[i])
             if viszero(v):
                 continue
-            mat = rep.operator([*last[:i], *last[i + 1:], t])
-            total = vadd(total, vscale(mat.mul_vec(v), Fraction((-1) ** (n + m - i))))
+            w = rep.act([*last[:i], *last[i + 1:], t], v)
+            total = vadd(total, vscale(w, Fraction((-1) ** (n + m - i))))
         if not viszero(total):
             table[key] = total
     return BlockMap(n, m, f.source, f.target, table)

@@ -10,15 +10,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .combinat import blocks_of, sort_with_sign
 from .linalg import (Matrix, Vec, basis_vec, rank, solve_linear, vadd,
                      vector, viszero, vscale, vzero)
-from .multilinear import (BlockMap, SpaceSpec, apply_map, lift_action,
-                          lift_bracket, sum_space)
-
-Element = Union[int, Vec]
+from .multilinear import (BlockMap, Element, Key, SpaceSpec, apply_map,
+                          materialize, sum_space)
 
 
 @dataclass
@@ -37,10 +35,13 @@ class NLieAlgebra:
     """A candidate n-Lie algebra: arity, space, structure constants.
 
     `structure` maps strictly increasing n-tuples of basis indices to the
-    bracket value; validity is earned through :func:`check_filippov`.
+    bracket value; validity is earned through :func:`check_filippov`.  As a
+    1-block map on (block, tail) keys it evaluates through
+    :func:`~nlie.multilinear.apply_map`.
     """
 
     __slots__ = ("n", "space", "structure")
+    blocks = 1
 
     def __init__(self, n: int, space: SpaceSpec,
                  structure: Optional[Mapping[tuple[int, ...], Sequence]] = None):
@@ -61,36 +62,30 @@ class NLieAlgebra:
     def dim(self) -> int:
         return self.space.dim
 
+    @property
+    def source(self) -> SpaceSpec:
+        return self.space
+
+    target = source
+
+    def value(self, key: Key) -> Vec:
+        """Bracket of a sorted (block, tail) key."""
+        block, tail = key
+        s, args = sort_with_sign(block + (tail,))
+        v = self.structure.get(args) if s else None
+        if v is None:
+            return vzero(self.dim)
+        return v if s == 1 else vscale(v, Fraction(-1))
+
     def bracket(self, args: Sequence[Element]) -> Vec:
         """Fully antisymmetric n-ary bracket on indices or vectors."""
         if len(args) != self.n:
             raise ValueError("bracket arity mismatch")
-        for i, a in enumerate(args):
-            if not isinstance(a, int):
-                total = vzero(self.dim)
-                for idx, c in enumerate(a):
-                    if c != 0:
-                        sub = list(args)
-                        sub[i] = idx
-                        total = vadd(total, vscale(self.bracket(sub), c))
-                return total
-        s, key = sort_with_sign(tuple(args))
-        if s == 0:
-            return vzero(self.dim)
-        v = self.structure.get(key)
-        if v is None:
-            return vzero(self.dim)
-        return vscale(v, Fraction(s))
+        return apply_map(self, [args[:-1]], args[-1])
 
     def as_blockmap(self) -> BlockMap:
         """The bracket as a 1-block map, stored on every (block, tail) split."""
-        table = {}
-        for block in blocks_of(self.dim, self.n - 1):
-            for tail in range(self.dim):
-                v = self.bracket([*block, tail])
-                if not viszero(v):
-                    table[(block, tail)] = v
-        return BlockMap(self.n, 1, self.space, self.space, table)
+        return materialize(self)
 
     def is_abelian(self) -> bool:
         return not self.structure
@@ -122,9 +117,14 @@ def check_filippov(alg: NLieAlgebra) -> CheckReport:
 
 
 class Representation:
-    """A candidate action of ∧^{n-1}g on a module by endomorphisms."""
+    """A candidate action of ∧^{n-1}g on a module by endomorphisms.
+
+    As a 1-block map whose key (block, u) reads column u of the block's
+    matrix, it evaluates through :func:`~nlie.multilinear.apply_map`.
+    """
 
     __slots__ = ("algebra", "module", "action")
+    blocks = 1
 
     def __init__(self, algebra: NLieAlgebra, module: SpaceSpec,
                  action: Optional[Mapping[tuple[int, ...], Matrix]] = None):
@@ -144,30 +144,29 @@ class Representation:
     def dim_v(self) -> int:
         return self.module.dim
 
-    def operator(self, gargs: Sequence[Element]) -> Matrix:
-        """Action matrix of possibly unsorted/vector-valued algebra arguments."""
-        if len(gargs) != self.algebra.n - 1:
-            raise ValueError("action arity mismatch")
-        for i, a in enumerate(gargs):
-            if not isinstance(a, int):
-                total = Matrix.zero(self.dim_v, self.dim_v)
-                for idx, c in enumerate(a):
-                    if c != 0:
-                        sub = list(gargs)
-                        sub[i] = idx
-                        total = total + self.operator(sub).scale(c)
-                return total
-        s, key = sort_with_sign(tuple(gargs))
-        if s == 0:
-            return Matrix.zero(self.dim_v, self.dim_v)
-        mat = self.action.get(key)
-        if mat is None:
-            return Matrix.zero(self.dim_v, self.dim_v)
-        return mat if s == 1 else mat.scale(Fraction(-1))
+    @property
+    def n(self) -> int:
+        return self.algebra.n
+
+    @property
+    def target(self) -> SpaceSpec:
+        return self.module
+
+    def value(self, key: Key) -> Vec:
+        """Column u of the matrix of a sorted block, for the key (block, u)."""
+        block, u = key
+        mat = self.action.get(block)
+        return vzero(self.dim_v) if mat is None else mat.column(u)
 
     def act(self, gargs: Sequence[Element], v: Element) -> Vec:
-        vv = basis_vec(self.dim_v, v) if isinstance(v, int) else v
-        return self.operator(gargs).mul_vec(vv)
+        """ρ(gargs)v on possibly unsorted/vector-valued arguments."""
+        if len(gargs) != self.algebra.n - 1:
+            raise ValueError("action arity mismatch")
+        return apply_map(self, [gargs], v)
+
+    def operator(self, gargs: Sequence[Element]) -> Matrix:
+        """Action matrix ρ(gargs), one act column per module basis vector."""
+        return Matrix.from_columns([self.act(gargs, u) for u in range(self.dim_v)])
 
     def __repr__(self):
         return f"Representation(n={self.algebra.n}, dim_g={self.algebra.dim}, dim_v={self.dim_v})"
@@ -257,10 +256,8 @@ def semidirect_product(rep: Representation) -> NLieAlgebra:
 
 
 def semidirect_blockmap(rep: Representation) -> BlockMap:
-    """The lift mu-hat + rho-hat over g ⊕ V, as one 1-block map."""
-    mu_hat = lift_bracket(rep.algebra.as_blockmap(), rep.dim_v)
-    rho_hat = lift_action(rep.algebra.n, rep.algebra.dim, rep.dim_v, rep.action)
-    return mu_hat.add(rho_hat)
+    """The lift mu-hat + rho-hat over g ⊕ V: the semidirect product bracket."""
+    return semidirect_product(rep).as_blockmap()
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,17 @@ def _rat_str(x: Fraction) -> Union[int, str]:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer: `true` and `false` are ints to Python, not to the schema."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _indices(raw: Any, size: int, dim: int, where: str) -> tuple[int, ...]:
     if not isinstance(raw, list) or len(raw) != size:
         raise ProblemFileError(f"{where}: expected {size} indices")
     out = []
     for i in raw:
-        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= dim:
+        if not _is_int(i) or not 1 <= i <= dim:
             raise ProblemFileError(f"{where}: index {i!r} out of range 1..{dim}")
         out.append(i - 1)
     if any(a >= b for a, b in zip(out, out[1:])):
@@ -130,7 +135,7 @@ def _parse_cochain(raw: dict, n: int, dim_g: int, dim_v: int,
     if space not in ("pair", "operator"):
         raise ProblemFileError(f"{where}: space must be 'pair' or 'operator'")
     degree = raw.get("degree")
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_int(degree) or degree < 1:
         raise ProblemFileError(f"{where}: degree must be a positive integer")
     blocks = degree - 1
     if space == "pair":
@@ -147,7 +152,7 @@ def _parse_cochain(raw: dict, n: int, dim_g: int, dim_v: int,
             raise ProblemFileError(f"{where}: expected {blocks} blocks per entry")
         key_blocks = tuple(_indices(b, n - 1, sdim, where) for b in braw)
         tail = e.get("tail")
-        if not isinstance(tail, int) or not 1 <= tail <= sdim:
+        if not _is_int(tail) or not 1 <= tail <= sdim:
             raise ProblemFileError(f"{where}: tail out of range")
         key = key_blocks + (tail - 1,)
         _claim(seen, key, loc, "(blocks, tail)")
@@ -166,10 +171,10 @@ def parse_problem(text: str) -> Problem:
     if str(version) != SCHEMA_VERSION:
         raise ProblemFileError(f"unsupported schema_version {version!r}")
     n = raw.get("n")
-    if not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise ProblemFileError("n must be an integer >= 2")
     g = raw.get("g")
-    if not isinstance(g, dict) or not isinstance(g.get("dim"), int) or g["dim"] < 1:
+    if not isinstance(g, dict) or not _is_int(g.get("dim")) or g["dim"] < 1:
         raise ProblemFileError("g.dim must be a positive integer")
     dim_g = g["dim"]
     structure = {}
@@ -180,7 +185,7 @@ def parse_problem(text: str) -> Problem:
         structure[args] = _sparse_vec(item.get("value", {}), dim_g, where)
     algebra = NLieAlgebra(n, SpaceSpec(dim_g, "g"), structure)
     v = raw.get("V")
-    if not isinstance(v, dict) or not isinstance(v.get("dim"), int) or v["dim"] < 0:
+    if not isinstance(v, dict) or not _is_int(v.get("dim")) or v["dim"] < 0:
         raise ProblemFileError("V.dim must be a nonnegative integer")
     dim_v = v["dim"]
     action = {}
@@ -201,7 +206,10 @@ def parse_problem(text: str) -> Problem:
     if "omega" in raw:
         prob.omega = _matrix(raw["omega"], dim_g, dim_g, "omega")
     for name in ("deformation", "deformation_prime"):
-        for i, m in enumerate(raw.get(name, [])):
+        mats = raw.get(name, [])
+        if not isinstance(mats, list):
+            raise ProblemFileError(f"{name}: expected a list of matrices")
+        for i, m in enumerate(mats):
             getattr(prob, name).append(_matrix(m, dim_g, dim_v, f"{name}[{i}]"))
     if "x0" in raw:
         x0 = raw["x0"]

@@ -3,12 +3,20 @@
 A :class:`BlockMap` models an element of Hom(⊗^b(∧^{n-1}S) ⊗ S, T): `b`
 blocks of n-1 arguments, antisymmetric inside each block, plus one tail
 argument, with no constraint tying the last block to the tail.  Tables are
-sparse over sorted basis keys; evaluation on unsorted or repeated indices
-goes through the sorting sign, and vector arguments expand multilinearly.
+sparse over sorted basis keys.
 
-:class:`LazyMap` is the same contract backed by a memoized callable; the
-graded bracket returns these so that deep iterated brackets only ever
-evaluate the keys somebody asks for.
+:func:`apply_map` is the one evaluator of such maps.  It reads a map's
+`value(key)`, where a key is `blocks` strictly increasing index tuples
+followed by one tail index, and its `target` (for the zero vector); it
+expands vector arguments over their nonzero coordinates, sorts each block
+with its sign and looks the key up.  The key enumerations
+(:func:`domain_keys`, :func:`materialize`) also read `n`, `blocks` and
+`source`.  :class:`BlockMap` and :class:`LazyMap` (the same contract backed
+by a memoized callable, which the graded bracket returns so that deep
+iterated brackets only evaluate the keys somebody asks for) satisfy all of
+it, as does :class:`nlie.core.NLieAlgebra`; :class:`nlie.core.Representation`
+has no single source space and satisfies the evaluation part.  So brackets
+and actions evaluate like any other cochain.
 """
 from __future__ import annotations
 
@@ -217,40 +225,6 @@ def lift_bracket(mu: BlockMap, dim_v: int) -> BlockMap:
         if not viszero(v):
             table[key] = _embed(v, 0, total)
     return BlockMap(mu.n, 1, space, space, table)
-
-
-def lift_action(n: int, dim_g: int, dim_v: int,
-                action: Mapping[tuple[int, ...], Matrix]) -> BlockMap:
-    """Lift of an action of ∧^{n-1}g on V: the V-part of the semidirect bracket."""
-    space = sum_space(dim_g, dim_v)
-    total = dim_g + dim_v
-
-    def op(gargs: Sequence[int]) -> Optional[Matrix]:
-        s, sb = sort_with_sign(tuple(gargs))
-        if s == 0:
-            return None
-        mat = action.get(sb)
-        if mat is None:
-            return None
-        return mat if s == 1 else mat.scale(Fraction(-1))
-
-    table = {}
-    for block in itertools.combinations(range(total), n - 1):
-        for tail in range(total):
-            slots = block + (tail,)
-            vpos = [i for i, idx in enumerate(slots) if idx >= dim_g]
-            if len(vpos) != 1:
-                continue
-            i0 = vpos[0]
-            gargs = [idx for j, idx in enumerate(slots) if j != i0]
-            mat = op(gargs)
-            if mat is None:
-                continue
-            u = slots[i0] - dim_g
-            w = vscale(mat.column(u), Fraction((-1) ** (n - 1 - i0)))
-            if not viszero(w):
-                table[(block, tail)] = _embed(w, dim_g, total)
-    return BlockMap(n, 1, space, space, table)
 
 
 def lift_linear(h: Matrix, n: int, dim_g: int, dim_v: int) -> BlockMap:

@@ -17,7 +17,7 @@ from .combinat import blocks_of
 from .core import (CheckReport, NLieAlgebra, NPreLie, Representation,
                    semidirect_blockmap)
 from .linalg import Matrix, Vec, basis_vec, vadd, viszero, vscale, vsub, vzero
-from .multilinear import (BlockMap, SpaceSpec, iter_keys,
+from .multilinear import (BlockMap, Element, SpaceSpec, iter_keys,
                           lift_operator_map, project_operator_part)
 from .cochain import (_scatter, coboundary, coboundary_matrix, cochain_basis,
                       cohomology_table, graded_bracket)
@@ -78,7 +78,7 @@ class RBOperator:
     def algebra(self) -> NLieAlgebra:
         return self.rep.algebra
 
-    def apply(self, v: Union[int, Vec]) -> Vec:
+    def apply(self, v: Element) -> Vec:
         vv = basis_vec(self.rep.dim_v, v) if isinstance(v, int) else v
         return self.matrix.mul_vec(vv)
 
@@ -226,9 +226,8 @@ def pre_lie_of_operator(t: RBOperator) -> NPreLie:
     table = {}
     for block in blocks_of(dv, n - 1):
         tvs = [t.apply(v) for v in block]
-        mat = rep.operator(tvs)
         for tail in range(dv):
-            val = mat.column(tail)
+            val = rep.act(tvs, tail)
             if not viszero(val):
                 table[(block, tail)] = val
     return NPreLie(n, space, BlockMap(n, 1, space, space, table))

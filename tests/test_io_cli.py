@@ -135,6 +135,48 @@ def test_non_object_entry_rejected(tmp_path, capsys, field, where):
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["deformation", "deformation_prime"])
+def test_non_list_deformation_rejected(tmp_path, capsys, field):
+    """A deformation field that is not a list is an input error, not a
+    TypeError traceback."""
+    bad = {**ONE_BLOCK_FILE, field: 5}
+    with pytest.raises(ProblemFileError, match=re.escape(f"{field}: expected a list")):
+        parse_problem(json.dumps(bad))
+    assert main(["verify", write(tmp_path, "p.json", bad)]) == 2
+    assert field in capsys.readouterr().err
+
+
+BOOL_BASE = {
+    "schema_version": "1",
+    "n": 2,
+    "g": {"dim": 1, "bracket": []},
+    "V": {"dim": 0},
+    "rho": [],
+    "cochains": [{"space": "pair", "degree": 1, "entries": [
+        {"blocks": [], "tail": 1, "value": {}}]}],
+}
+
+
+@pytest.mark.parametrize("field, value, where", [
+    (("g", "dim"), True, "g.dim"),
+    (("V", "dim"), False, "V.dim"),
+    (("cochains", 0, "degree"), True, "cochains[0]: degree"),
+    (("cochains", 0, "entries", 0, "tail"), True, "cochains[0]: tail"),
+])
+def test_boolean_integers_rejected(tmp_path, capsys, field, value, where):
+    """JSON booleans are not integers, even though Python's bool is an int."""
+    bad = json.loads(json.dumps(BOOL_BASE))
+    assert parse_problem(json.dumps(bad)).n == 2
+    target = bad
+    for k in field[:-1]:
+        target = target[k]
+    target[field[-1]] = value
+    with pytest.raises(ProblemFileError, match=re.escape(where)):
+        parse_problem(json.dumps(bad))
+    assert main(["verify", write(tmp_path, "p.json", bad)]) == 2
+    assert where in capsys.readouterr().err
+
+
 def test_json_error_has_position():
     with pytest.raises(ProblemFileError, match="line"):
         parse_problem("{ not json")
