@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, factorial
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 

@@ -228,18 +228,19 @@ def coadjoint_rep(alg: NLieAlgebra) -> Representation:
 
 
 def semidirect_bracket(rep: Representation, args: Sequence[Vec]) -> Vec:
-    """Semidirect product bracket of sum-space vectors (g coordinates first)."""
+    """Semidirect product bracket of sum-space vectors (g coordinates first):
+    ([x_1..x_n], Σ_i (−1)^{n−1−i} ρ(x_1..x̂_i..x_n)u_i), slots with u_i = 0 skipped."""
     alg = rep.algebra
     n, dg, dv = alg.n, alg.dim, rep.dim_v
     xs = [a[:dg] for a in args]
-    us = [a[dg:] for a in args]
-    gpart = alg.bracket(xs)
     vpart = vzero(dv)
-    for i in range(n):
-        rest = xs[:i] + xs[i + 1:]
-        term = rep.act(rest, us[i])
+    for i, a in enumerate(args):
+        u = a[dg:]
+        if viszero(u):
+            continue
+        term = rep.act(xs[:i] + xs[i + 1:], u)
         vpart = vadd(vpart, vscale(term, Fraction((-1) ** (n - 1 - i))))
-    return gpart + vpart
+    return alg.bracket(xs) + vpart
 
 
 def semidirect_product(rep: Representation) -> NLieAlgebra:

@@ -1,13 +1,15 @@
 """JSON problem files: parsing, validation, emission.
 
 Indices are 1-based in files (and sorted), 0-based inside the engine; the
-parser is the only place that converts.  Rationals travel as strings
-"p/q" or JSON integers — floats are rejected so nothing inexact can leak
-into the computation.
+parser is the only place that converts.  Rationals travel as JSON integers
+or as strings of the form `-?[0-9]+(/[0-9]+)?` — floats, and decimal or
+exponent strings, are rejected so nothing inexact can leak into the
+computation and no short string can stand for a huge number.
 """
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterator, Optional, Union
@@ -18,6 +20,8 @@ from .multilinear import BlockMap, SpaceSpec
 from .rota_baxter import RBOperator
 
 SCHEMA_VERSION = "1"
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INDEX_KEY = re.compile(r"[0-9]+")
 
 
 class ProblemFileError(ValueError):
@@ -30,6 +34,9 @@ def _rat(x: Any, where: str) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ProblemFileError(f"{where}: bad rational {x!r}: expected 'p' or 'p/q' "
+                                   "with decimal digits")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
@@ -66,10 +73,9 @@ def _sparse_vec(raw: Any, dim: int, where: str) -> Vec:
         raise ProblemFileError(f"{where}: expected an index->rational map")
     out = [Fraction(0)] * dim
     for k, v in raw.items():
-        try:
-            i = int(k)
-        except ValueError:
-            raise ProblemFileError(f"{where}: bad index key {k!r}") from None
+        if not _INDEX_KEY.fullmatch(k):
+            raise ProblemFileError(f"{where}: bad index key {k!r}")
+        i = int(k)
         if not 1 <= i <= dim:
             raise ProblemFileError(f"{where}: index {i} out of range 1..{dim}")
         out[i - 1] = _rat(v, where)

@@ -1,5 +1,11 @@
 """Relative Rota-Baxter operators, derived brackets, operator cohomology.
 
+T: V -> g is an operator iff its graph {(Tu, u)} is a subalgebra of g ⋉ V.
+Every induced structure is read off the semidirect bracket on graph vectors:
+the identity compares its g-part with T of its V-part, the bracket on V is
+its V-part, and ρ_T is its twist x − Tu with (x, 0) in the last slot, built
+once per :class:`RBOperator`.
+
 An operator cochain of degree m >= 1 is a BlockMap with m-1 blocks over the
 module V valued in g; degree 0 is a :class:`Wedge`, an element of
 ∧^{n-1}g.  The n-ary derived bracket lifts its arguments to g ⊕ V, iterates
@@ -10,12 +16,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Optional, Sequence, Union
 
 from .combinat import blocks_of
 from .core import (CheckReport, NLieAlgebra, NPreLie, Representation,
-                   semidirect_blockmap)
+                   semidirect_bracket, semidirect_blockmap)
 from .linalg import Matrix, Vec, basis_vec, vadd, viszero, vscale, vsub, vzero
 from .multilinear import (BlockMap, Element, SpaceSpec, iter_keys,
                           lift_operator_map, project_operator_part)
@@ -40,29 +47,12 @@ class Wedge:
                 clean[tuple(key)] = c
         self.coeffs = clean
 
-    def add(self, other: "Wedge") -> "Wedge":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return Wedge(self.dim, self.size, out)
-
-    def scale(self, c: Fraction) -> "Wedge":
-        return Wedge(self.dim, self.size, {k: c * v for k, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Wedge)
-                and (self.dim, self.size) == (other.dim, other.size)
-                and self.coeffs == other.coeffs)
-
 
 def wedge_basis(dim: int, size: int) -> tuple[tuple[int, ...], ...]:
     return blocks_of(dim, size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RBOperator:
     """A candidate relative Rota-Baxter operator T: V -> g over a pair."""
     rep: Representation
@@ -82,26 +72,30 @@ class RBOperator:
         vv = basis_vec(self.rep.dim_v, v) if isinstance(v, int) else v
         return self.matrix.mul_vec(vv)
 
+    def graph(self, u: Element) -> Vec:
+        """(Tu, u) in g ⊕ V."""
+        uu = basis_vec(self.rep.dim_v, u) if isinstance(u, int) else u
+        return self.matrix.mul_vec(uu) + uu
 
-def _act_sum(rep: Representation, tvs: Sequence[Vec], vs: Sequence[int]) -> Vec:
-    """Σ_i (−1)^{n−1−i} ρ(Tv_1, .., Tv_i omitted, .., Tv_n) v_i, in V."""
-    n = len(vs)
-    total = vzero(rep.dim_v)
-    for i in range(n):
-        inner = rep.act(tvs[:i] + tvs[i + 1:], vs[i])
-        total = vadd(total, vscale(inner, Fraction((-1) ** (n - 1 - i))))
-    return total
+    def twist(self, w: Vec) -> Vec:
+        """x − Tu in g for w = (x, u) in g ⊕ V."""
+        dg = self.algebra.dim
+        return vsub(w[:dg], self.matrix.mul_vec(w[dg:]))
+
+    @cached_property
+    def induced_rep(self) -> Representation:
+        """ρ_T, built on first use and kept for the operator's lifetime."""
+        return operator_rep(self)
 
 
 def check_rb(rep: Representation, t: Matrix) -> CheckReport:
-    """The defining identity on all basis n-tuples of V, with witness."""
-    alg = rep.algebra
-    n, dv = alg.n, rep.dim_v
+    """The graph of T is closed under the semidirect bracket: on all basis
+    n-tuples of V, g-part = T(V-part) of the bracket of graph vectors."""
+    dg = rep.algebra.dim
     op = RBOperator(rep, t)
-    for vs in itertools.combinations(range(dv), n):
-        tvs = [op.apply(v) for v in vs]
-        lhs = alg.bracket(tvs)
-        rhs = t.mul_vec(_act_sum(rep, tvs, vs))
+    for vs in itertools.combinations(range(rep.dim_v), rep.n):
+        b = semidirect_bracket(rep, [op.graph(v) for v in vs])
+        lhs, rhs = b[:dg], t.mul_vec(b[dg:])
         if lhs != rhs:
             return CheckReport(False, witness=vs, lhs=lhs, rhs=rhs,
                                detail="operator identity fails")
@@ -148,11 +142,10 @@ def derived_bracket(ctx: DerivedContext, cochains: Sequence[BlockMap]) -> BlockM
 def derived_bracket_tt_direct(ctx: DerivedContext, t: Matrix) -> BlockMap:
     """Fast path for the bracket of n copies of an operator candidate.
 
-    Equals n!·([Tv_1..Tv_n] − Σ(−1)^{n-i} T ρ(..)(v_i)) entrywise; kept as an
-    independent route and cross-checked against the generic one in tests.
+    Equals n!·twist of the semidirect bracket of graph vectors entrywise; kept
+    as an independent route and cross-checked against the generic one in tests.
     """
     rep = ctx.rep
-    alg = rep.algebra
     n, dv = ctx.n, ctx.dim_v
     op = RBOperator(rep, t)
     src = SpaceSpec(dv, "V")
@@ -160,9 +153,8 @@ def derived_bracket_tt_direct(ctx: DerivedContext, t: Matrix) -> BlockMap:
     nf = Fraction(factorial(n))
     table = {}
     for key in iter_keys(dv, n - 1, 1):
-        vs = list(key[0]) + [key[-1]]
-        tvs = [op.apply(v) for v in vs]
-        val = vscale(vsub(alg.bracket(tvs), t.mul_vec(_act_sum(rep, tvs, vs))), nf)
+        graphs = [op.graph(v) for v in key[0] + (key[-1],)]
+        val = vscale(op.twist(semidirect_bracket(rep, graphs)), nf)
         if not viszero(val):
             table[key] = val
     return BlockMap(n, 1, src, tgt, table)
@@ -205,14 +197,13 @@ def twisted_mc_holds(ctx: DerivedContext, t: RBOperator, tprime: Matrix) -> bool
 # ---------------------------------------------------------------------------
 
 def induced_bracket(t: RBOperator) -> NLieAlgebra:
-    """The bracket on V transported through the operator."""
+    """The bracket on V: the V-part of the semidirect bracket of graph vectors."""
     rep = t.rep
-    alg = rep.algebra
-    n, dv = alg.n, rep.dim_v
+    n, dg, dv = rep.n, rep.algebra.dim, rep.dim_v
     space = SpaceSpec(dv, "V")
     structure = {}
     for key in itertools.combinations(range(dv), n):
-        val = _act_sum(rep, [t.apply(v) for v in key], key)
+        val = semidirect_bracket(rep, [t.graph(v) for v in key])[dg:]
         if not viszero(val):
             structure[key] = val
     return NLieAlgebra(n, space, structure)
@@ -234,23 +225,16 @@ def pre_lie_of_operator(t: RBOperator) -> NPreLie:
 
 
 def operator_rep(t: RBOperator) -> Representation:
-    """Representation of the induced algebra on g attached to the operator."""
+    """ρ_T on g: ρ_T(u_1..u_{n-1})x is the twist of the semidirect bracket of
+    the graph vectors of the u_i with (x, 0).  Cached as `t.induced_rep`."""
     rep = t.rep
-    alg = rep.algebra
-    n, dg, dv = alg.n, alg.dim, rep.dim_v
+    dg, dv = rep.algebra.dim, rep.dim_v
     base = induced_bracket(t)
     action = {}
-    for block in blocks_of(dv, n - 1):
-        tvs = [t.apply(u) for u in block]
-        cols = []
-        for x in range(dg):
-            val = alg.bracket([*tvs, x])
-            for i in range(n - 1):
-                rest = tvs[:i] + tvs[i + 1:]
-                inner = rep.act([*rest, basis_vec(dg, x)], block[i])
-                val = vsub(val, vscale(t.matrix.mul_vec(inner),
-                                       Fraction((-1) ** (n - 1 - i))))
-            cols.append(val)
+    for block in blocks_of(dv, rep.n - 1):
+        graphs = [t.graph(u) for u in block]
+        cols = [t.twist(semidirect_bracket(rep, graphs + [basis_vec(dg + dv, x)]))
+                for x in range(dg)]
         mat = Matrix.from_columns(cols)
         if not mat.is_zero():
             action[block] = mat
@@ -283,7 +267,7 @@ def rb_coboundary(t: RBOperator, f: Union[Wedge, BlockMap]) -> BlockMap:
     """The operator-cochain differential: the 0-case or the induced-pair case."""
     if isinstance(f, Wedge):
         return wedge_coboundary(t, f)
-    return coboundary(operator_rep(t), f)
+    return coboundary(t.induced_rep, f)
 
 
 def operator_cochain_dim(t: RBOperator, m: int) -> int:
@@ -304,7 +288,7 @@ def wedge_coboundary_matrix(t: RBOperator) -> Matrix:
 def rb_coboundary_matrix(t: RBOperator, m: int) -> Matrix:
     if m == 0:
         return wedge_coboundary_matrix(t)
-    return coboundary_matrix(operator_rep(t), m)
+    return coboundary_matrix(t.induced_rep, m)
 
 
 def rb_cohomology_dim(t: RBOperator, m: int) -> int:

@@ -1,0 +1,57 @@
+"""Static hygiene of the package source, by stdlib `ast` (no linter needed).
+
+Every name a module of `src/nlie` imports must be used in that module.
+`__init__` is exempt: its imports are the package's public surface.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "nlie"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line, for every import statement in the module."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                out[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                if a.name != "*":
+                    out[a.asname or a.name] = node.lineno
+    return out
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names read anywhere, including inside string annotations."""
+    trees = [tree]
+    for ann in _annotations(tree):
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            trees.append(ast.parse(ann.value, mode="eval"))
+    return {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def test_scan_sees_every_module():
+    assert {p.stem for p in MODULES} >= {"core", "rota_baxter", "io", "cli"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = _used(tree)
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -177,6 +177,45 @@ def test_boolean_integers_rejected(tmp_path, capsys, field, value, where):
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [
+    "1e3", "2.5", " 1/2 ", "+3", "1_000", "1/-2", "٣",
+    # ten characters that Fraction(str) would expand to a billion digits
+    "1e999999999",
+])
+def test_rational_string_grammar(tmp_path, capsys, value):
+    """A rational string is -?[0-9]+(/[0-9]+)?: no decimal point, exponent,
+    sign '+', spaces, underscores or non-ASCII digits."""
+    bad = {**NILP_FILE, "g": {"dim": 4, "bracket": [
+        {"args": [1, 2, 3], "value": {"4": value}}]}}
+    where = "g.bracket[0]: bad rational"
+    with pytest.raises(ProblemFileError, match=re.escape(where)):
+        parse_problem(json.dumps(bad))
+    assert main(["verify", write(tmp_path, "p.json", bad)]) == 2
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("-3", Fraction(-3)), ("-07/14", Fraction(-1, 2)), ("12/8", Fraction(3, 2)),
+    (-2, Fraction(-2))])
+def test_rational_grammar_accepts(value, expected):
+    good = {**NILP_FILE, "g": {"dim": 4, "bracket": [
+        {"args": [1, 2, 3], "value": {"4": value}}]}}
+    assert parse_problem(json.dumps(good)).algebra.structure == {(0, 1, 2): (0, 0, 0, expected)}
+
+
+@pytest.mark.parametrize("key", ["0_4", " 4", "+4", "4 ", "٤"])
+def test_index_key_grammar(tmp_path, capsys, key):
+    """Sparse-vector keys are plain decimal digits; int() would read every
+    one of these as index 4."""
+    bad = {**NILP_FILE, "g": {"dim": 4, "bracket": [
+        {"args": [1, 2, 3], "value": {key: "1"}}]}}
+    where = "g.bracket[0]: bad index key"
+    with pytest.raises(ProblemFileError, match=re.escape(where)):
+        parse_problem(json.dumps(bad))
+    assert main(["verify", write(tmp_path, "p.json", bad)]) == 2
+    assert where in capsys.readouterr().err
+
+
 def test_json_error_has_position():
     with pytest.raises(ProblemFileError, match="line"):
         parse_problem("{ not json")

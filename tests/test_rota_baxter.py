@@ -3,13 +3,18 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
 from conftest import (central_image_operator, one_block_action_pair,
                       random_blockmap, random_matrix)
 
 from nlie import (Matrix, NLieAlgebra, SpaceSpec, abelian, adjoint_rep,
                   check_filippov, check_n_pre_lie, check_representation,
                   check_rb, sub_adjacent, zero_representation)
+from nlie import rota_baxter
+from nlie.cli import cmd_cohomology
 from nlie.combinat import blocks_of, koszul_sign, shuffles
+from nlie.deformation import DeformationJet, extend, find_equivalence
+from nlie.io import Problem
 from nlie.linalg import kernel_basis
 from nlie.rota_baxter import (DerivedContext, RBOperator, Wedge, check_rb_mc,
                               cochain_to_vector, derived_bracket,
@@ -266,3 +271,27 @@ def test_cochain_vectorization_roundtrip(operator_corpus):
     t1 = random_matrix(rng, op.algebra.dim, op.rep.dim_v)
     vec = cochain_to_vector(op, matrix_to_cochain(op.rep, t1), 1)
     assert vector_to_matrix_cochain(op, vec) == t1
+
+
+@pytest.mark.parametrize("case", ["cohomology", "extend", "equivalence"])
+def test_operator_rep_built_once_per_operator(operator_corpus, monkeypatch, case):
+    """ρ_T is cached on the operator, so a cohomology table, an extension
+    or an equivalence search builds it once, not once per differential."""
+    real, calls = rota_baxter.operator_rep, []
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(rota_baxter, "operator_rep", counting)
+    src = operator_corpus[5]  # the one-block pair: nonzero ρ_T, small spaces
+    t = RBOperator(src.rep, src.matrix)  # fresh: corpus entries may hold a cached ρ_T
+    zero = Matrix.zero(t.algebra.dim, t.rep.dim_v)
+    if case == "cohomology":
+        prob = Problem(t.algebra.n, t.algebra, t.rep, operator=t.matrix)
+        assert [row["m"] for row in cmd_cohomology(prob, 3, "operator")["table"]] == [0, 1, 2, 3]
+    elif case == "extend":
+        assert extend(DeformationJet(t, [zero])) is not None
+    else:
+        assert find_equivalence(t, zero, zero) is not None
+    assert len(calls) == 1
