@@ -152,7 +152,7 @@ def cmd_deform(prob: Problem, action: str) -> dict:
         return report
     ob = obstruction(jet)
     checks.append(_bool_entry("obstruction_cocycle", ob.cocycle_checked))
-    nxt = extend(jet)
+    nxt = extend(ob)
     if nxt is None:
         report["extension"] = "obstructed"
     else:

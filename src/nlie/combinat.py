@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 
 class Shuffle(NamedTuple):
@@ -38,18 +38,6 @@ def shuffles(i: int, j: int) -> tuple[Shuffle, ...]:
         perm = first + rest
         out.append(Shuffle(perm, perm_sign(perm)))
     return tuple(out)
-
-
-def koszul_sign(perm: tuple[int, ...], degrees: Sequence[int]) -> int:
-    """Sign of permuting graded symmetric symbols: each inversion of a pair
-    of odd-degree symbols contributes −1 (no plain permutation sign)."""
-    sign = 1
-    k = len(perm)
-    for a in range(k):
-        for b in range(a + 1, k):
-            if perm[a] > perm[b] and degrees[perm[a]] % 2 and degrees[perm[b]] % 2:
-                sign = -sign
-    return sign
 
 
 def sort_with_sign(indices: tuple[int, ...]) -> tuple[int, Optional[tuple[int, ...]]]:
@@ -90,5 +78,5 @@ def compositions(total: int, parts: int, low: int = 0, high: Optional[int] = Non
             yield (first,) + rest
 
 
-__all__ = ["Shuffle", "shuffles", "perm_sign", "koszul_sign", "sort_with_sign", "blocks_of",
-           "compositions", "comb", "factorial"]
+__all__ = ["Shuffle", "shuffles", "perm_sign", "sort_with_sign", "blocks_of",
+           "compositions"]

@@ -110,6 +110,7 @@ def find_equivalence(t: RBOperator, t1: Matrix, t1p: Matrix) -> Optional[Wedge]:
 
 @dataclass
 class ObstructionClass:
+    jet: DeformationJet
     theta: BlockMap
     cocycle_checked: bool
 
@@ -130,7 +131,7 @@ def obstruction(jet: DeformationJet) -> ObstructionClass:
             table[key] = val
     theta = BlockMap(n, 1, src, tgt, table)
     checked = rb_coboundary(base, theta).is_zero()
-    return ObstructionClass(theta, checked)
+    return ObstructionClass(jet, theta, checked)
 
 
 def obstruction_via_derived(jet: DeformationJet) -> BlockMap:
@@ -150,17 +151,17 @@ def obstruction_via_derived(jet: DeformationJet) -> BlockMap:
     return total.scale(Fraction(1, factorial(n)))
 
 
-def extend(jet: DeformationJet) -> Optional[Matrix]:
-    """Next coefficient if the obstruction class is trivial, else None.
+def extend(ob: ObstructionClass) -> Optional[Matrix]:
+    """Next coefficient of the obstruction's jet if its class is trivial, else None.
 
     Solves d·x = −theta exactly; any returned coefficient is re-verified by
     rerunning the order checks on the extended jet.
     """
+    jet = ob.jet
     if not check_order(jet):
         raise ValueError("not a valid jet")
-    theta = obstruction(jet).theta
     d1 = rb_coboundary_matrix(jet.base, 1)
-    rhs = tuple(-x for x in cochain_to_vector(jet.base, theta, 2))
+    rhs = tuple(-x for x in cochain_to_vector(jet.base, ob.theta, 2))
     x = solve_linear(d1, rhs)
     if x is None:
         return None

@@ -4,7 +4,8 @@ Indices are 1-based in files (and sorted), 0-based inside the engine; the
 parser is the only place that converts.  Rationals travel as JSON integers
 or as strings of the form `-?[0-9]+(/[0-9]+)?` — floats, and decimal or
 exponent strings, are rejected so nothing inexact can leak into the
-computation and no short string can stand for a huge number.
+computation and no short string can stand for a huge number.  No JSON
+object may name a key twice.
 """
 from __future__ import annotations
 
@@ -166,9 +167,19 @@ def _parse_cochain(raw: dict, n: int, dim_g: int, dim_v: int,
     return space, BlockMap(n, blocks, src, tgt, table)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object that names no key twice (json keeps the last silently)."""
+    out = {}
+    for k, v in pairs:
+        if k in out:
+            raise ProblemFileError(f"duplicate key {k!r} in a JSON object")
+        out[k] = v
+    return out
+
+
 def parse_problem(text: str) -> Problem:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ProblemFileError(f"JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(raw, dict):

@@ -1,4 +1,4 @@
-"""Block-skew multilinear maps and their lifts to a direct sum.
+"""Block-skew multilinear maps and their lift to a direct sum.
 
 A :class:`BlockMap` models an element of Hom(⊗^b(∧^{n-1}S) ⊗ S, T): `b`
 blocks of n-1 arguments, antisymmetric inside each block, plus one tail
@@ -17,6 +17,10 @@ iterated brackets only evaluate the keys somebody asks for) satisfy all of
 it, as does :class:`nlie.core.NLieAlgebra`; :class:`nlie.core.Representation`
 has no single source space and satisfies the evaluation part.  So brackets
 and actions evaluate like any other cochain.
+
+A map whose arguments come from one summand of g ⊕ V and whose values lie
+in one summand enters the sum space through :func:`lift_map` and leaves it
+through :func:`restrict_map`; every lift and projection is one of the two.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .combinat import sort_with_sign
-from .linalg import Matrix, Vec, vadd, viszero, vscale, vzero
+from .linalg import Vec, vadd, viszero, vscale, vzero
 
 # a basis key: `blocks` sorted index tuples followed by one tail index
 Key = tuple
@@ -196,108 +200,59 @@ def is_zero_map(m: AnyMap) -> bool:
     return all(viszero(m.value(k)) for k in domain_keys(m))
 
 
-def maps_equal(a: AnyMap, b: AnyMap) -> bool:
-    if (a.n, a.blocks, a.source.dim, a.target.dim) != (b.n, b.blocks, b.source.dim, b.target.dim):
-        return False
-    if isinstance(a, BlockMap) and isinstance(b, BlockMap):
-        return a.table == b.table
-    return all(a.value(k) == b.value(k) for k in iter_keys(a.source.dim, a.n - 1, a.blocks))
-
-
 # ---------------------------------------------------------------------------
-# lifts to the direct sum g ⊕ V (g-basis first) and the projection back
+# the direct sum g ⊕ V (g-basis first): one lift from a summand, one restriction
 # ---------------------------------------------------------------------------
 
-def _embed(v: Vec, offset: int, total: int) -> Vec:
-    out = [Fraction(0)] * total
-    out[offset:offset + len(v)] = v
-    return tuple(out)
+def _summand(space: SpaceSpec, name: str) -> tuple[int, int]:
+    """(offset, dim) of the summand "g" or "V" of a direct-sum space."""
+    if space.split is None:
+        raise ValueError("needs a direct-sum space g ⊕ V")
+    if name == "g":
+        return 0, space.split
+    if name == "V":
+        return space.split, space.dim - space.split
+    raise ValueError(f"summand must be 'g' or 'V', not {name!r}")
 
 
-def lift_bracket(mu: BlockMap, dim_v: int) -> BlockMap:
-    """Lift of an n-ary bracket on g: nonzero only on all-g keys, valued in g."""
-    dg = mu.source.dim
-    space = sum_space(dg, dim_v)
-    total = dg + dim_v
-    table = {}
-    for key in domain_keys(mu):
-        v = mu.value(key)
-        if not viszero(v):
-            table[key] = _embed(v, 0, total)
-    return BlockMap(mu.n, 1, space, space, table)
+def _shift(key: Key, offset: int) -> Key:
+    return tuple(tuple(i + offset for i in blk) for blk in key[:-1]) + (key[-1] + offset,)
 
 
-def lift_linear(h: Matrix, n: int, dim_g: int, dim_v: int) -> BlockMap:
-    """Lift of a linear map V -> g to the sum space: (x, u) -> (h(u), 0)."""
-    space = sum_space(dim_g, dim_v)
-    total = dim_g + dim_v
-    table = {}
-    for u in range(dim_v):
-        col = h.column(u)
-        if not viszero(col):
-            table[(dim_g + u,)] = _embed(col, 0, total)
-    return BlockMap(n, 0, space, space, table)
-
-
-def lift_operator_map(p: BlockMap, dim_g: int) -> BlockMap:
-    """Lift of a map in Hom(⊗^b(∧^{n-1}V) ⊗ V, g): nonzero on all-V keys only."""
-    dv = p.source.dim
-    space = sum_space(dim_g, dv)
-    total = dim_g + dv
-    table = {}
-    for key, v in p.table.items():
-        shifted = tuple(tuple(i + dim_g for i in blk) for blk in key[:-1]) + (key[-1] + dim_g,)
-        table[shifted] = _embed(v, 0, total)
-    return BlockMap(p.n, p.blocks, space, space, table)
-
-
-def lift_module_valued(f: BlockMap, dim_v: int) -> BlockMap:
-    """Lift of a module-valued cochain on g: same keys, value in the V-part.
-
-    Together with :func:`project_module_part` this gives a second route to
-    the coboundary: bracketing with the combined structure lift and
-    restricting reproduces it up to the degree sign.
-    """
-    dg = f.source.dim
-    space = sum_space(dg, dim_v)
-    total = dg + dim_v
-    table = {k: _embed(v, dg, total) for k, v in f.table.items()}
+def lift_map(f: BlockMap, space: SpaceSpec, args: str, values: str) -> BlockMap:
+    """f, with arguments from summand `args` and values in summand `values`,
+    as a map on the sum space: zero unless every argument lies in `args`."""
+    a_off, a_dim = _summand(space, args)
+    v_off, v_dim = _summand(space, values)
+    if (f.source.dim, f.target.dim) != (a_dim, v_dim):
+        raise ValueError(f"a {f.source.dim}->{f.target.dim} map does not fit "
+                         f"{args}->{values} of g ⊕ V")
+    before, after = vzero(v_off), vzero(space.dim - v_off - v_dim)
+    table = {_shift(k, a_off): before + v + after for k, v in f.table.items()}
     return BlockMap(f.n, f.blocks, space, space, table)
 
 
-def project_module_part(f: AnyMap, target: SpaceSpec) -> BlockMap:
-    """Component of a sum-space map on all-g inputs with values in V."""
-    split = f.source.split
-    if split is None:
-        raise ValueError("projection needs a direct-sum source space")
-    src = SpaceSpec(split, "g")
+def restrict_map(f: AnyMap, args: str, values: str) -> BlockMap:
+    """The component of a sum-space map on arguments from summand `args`,
+    with values read in summand `values`; it undoes :func:`lift_map`."""
+    a_off, a_dim = _summand(f.source, args)
+    v_off, v_dim = _summand(f.source, values)
     table = {}
-    for key in iter_keys(split, f.n - 1, f.blocks):
-        v = f.value(key)[split:]
+    for key in iter_keys(a_dim, f.n - 1, f.blocks):
+        v = f.value(_shift(key, a_off))[v_off:v_off + v_dim]
         if not viszero(v):
             table[key] = v
-    return BlockMap(f.n, f.blocks, src, target, table)
+    return BlockMap(f.n, f.blocks, SpaceSpec(a_dim, args), SpaceSpec(v_dim, values), table)
+
+
+def lift_operator_map(p: BlockMap, dim_g: int) -> BlockMap:
+    """Lift of an operator cochain in Hom(⊗^b(∧^{n-1}V) ⊗ V, g)."""
+    return lift_map(p, sum_space(dim_g, p.source.dim), "V", "g")
 
 
 def project_operator_part(f: AnyMap) -> BlockMap:
-    """Component of a sum-space map in Hom(⊗^b(∧^{n-1}V) ⊗ V, g).
-
-    Evaluates on all-V keys only and keeps the g-part of the value: the
-    projection onto the abelian subalgebra of operator cochains.
-    """
-    split = f.source.split
-    if split is None:
-        raise ValueError("projection needs a direct-sum source space")
-    dg, dv = split, f.source.dim - split
-    src = SpaceSpec(dv, "V")
-    tgt = SpaceSpec(dg, "g")
-    table = {}
-    for key in iter_keys(dv, f.n - 1, f.blocks):
-        shifted = tuple(tuple(i + dg for i in blk) for blk in key[:-1]) + (key[-1] + dg,)
-        v = f.value(shifted)[:dg]
-        if not viszero(v):
-            table[key] = v
-    return BlockMap(f.n, f.blocks, src, tgt, table)
+    """Projection onto the abelian subalgebra of operator cochains."""
+    return restrict_map(f, "V", "g")
 
 
 def tail_antisymmetrize(p: AnyMap) -> BlockMap:
@@ -324,10 +279,6 @@ def tail_antisymmetrize(p: AnyMap) -> BlockMap:
         if not viszero(total):
             table[key] = total
     return BlockMap(n, b, p.source, p.target, table)
-
-
-def is_tail_antisymmetric(p: AnyMap) -> bool:
-    return maps_equal(tail_antisymmetrize(p), p)
 
 
 def bidegree_of(f: AnyMap) -> Optional[tuple[int, int]]:

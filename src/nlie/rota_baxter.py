@@ -270,13 +270,6 @@ def rb_coboundary(t: RBOperator, f: Union[Wedge, BlockMap]) -> BlockMap:
     return coboundary(t.induced_rep, f)
 
 
-def operator_cochain_dim(t: RBOperator, m: int) -> int:
-    n, dg, dv = t.algebra.n, t.algebra.dim, t.rep.dim_v
-    if m == 0:
-        return len(wedge_basis(dg, n - 1))
-    return len(cochain_basis(dv, n, m, dg))
-
-
 def wedge_coboundary_matrix(t: RBOperator) -> Matrix:
     """Matrix of the degree-0 differential in the lexicographic bases."""
     n, dg, dv = t.algebra.n, t.algebra.dim, t.rep.dim_v
@@ -307,7 +300,9 @@ def cochain_to_vector(t: RBOperator, f: BlockMap, m: int) -> Vec:
 
 
 def vector_to_matrix_cochain(t: RBOperator, x: Vec) -> Matrix:
-    """Inverse of cochain_to_vector at degree 1: a V -> g matrix."""
-    dg, dv = t.algebra.dim, t.rep.dim_v
-    cols = [tuple(x[u * dg + i] for i in range(dg)) for u in range(dv)]
-    return Matrix.from_columns(cols)
+    """Inverse of cochain_to_vector at degree 1: a dim(g) x dim(V) matrix."""
+    n, dg, dv = t.algebra.n, t.algebra.dim, t.rep.dim_v
+    rows = [[Fraction(0)] * dv for _ in range(dg)]
+    for ((u,), i), c in zip(cochain_basis(dv, n, 1, dg), x, strict=True):
+        rows[i][u] = c
+    return Matrix(rows)

@@ -69,6 +69,18 @@ def random_homogeneous(rng: random.Random, n: int, blocks: int, dim_g: int,
     return BlockMap(n, blocks, space, space, table)
 
 
+def koszul_sign(perm: tuple[int, ...], degrees: list[int]) -> int:
+    """Sign of permuting graded symmetric symbols: each inversion of a pair
+    of odd-degree symbols contributes −1 (no plain permutation sign)."""
+    sign = 1
+    k = len(perm)
+    for a in range(k):
+        for b in range(a + 1, k):
+            if perm[a] > perm[b] and degrees[perm[a]] % 2 and degrees[perm[b]] % 2:
+                sign = -sign
+    return sign
+
+
 def _verified(alg: NLieAlgebra) -> NLieAlgebra:
     assert check_filippov(alg), f"catalog algebra failed verification: {alg}"
     return alg

@@ -311,7 +311,7 @@ def test_criterion_9(algebras, operator_corpus):
             d1 = rb_coboundary_matrix(op, 1)
             rhs = tuple(-x for x in cochain_to_vector(op, ob.theta, 2))
             orc = solve_linear(d1, rhs)
-            nxt = extend(jet)
+            nxt = extend(ob)
             assert (nxt is None) == (orc is None)
             if nxt is not None:
                 assert check_order(jet.extended(nxt))
@@ -325,7 +325,7 @@ def test_criterion_9(algebras, operator_corpus):
     assert ob.cocycle_checked
     d1 = rb_coboundary_matrix(op0, 1)
     rhs = tuple(-x for x in cochain_to_vector(op0, ob.theta, 2))
-    assert solve_linear(d1, rhs) is None and extend(jet) is None
+    assert solve_linear(d1, rhs) is None and extend(ob) is None
     tested_jets += 1
     # planted gauge is always recovered
     recovered = 0

@@ -1,0 +1,83 @@
+"""Fuzzing the exit-code contract of `nlie` over its arguments: any mix of
+command, `--target`, `--action`, `--max-m` and problem file ends in exit 0
+(checks pass), 1 (a check failed) or 2 (input or usage error), never in a
+traceback.  Everything runs in-process."""
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nlie.cli import main
+
+ONE_BLOCK = {
+    "schema_version": "1",
+    "n": 3,
+    "g": {"dim": 3, "bracket": []},
+    "V": {"dim": 2},
+    "rho": [{"block": [1, 2], "matrix": [["0", "1"], ["0", "0"]]}],
+    "T": [["0", "0"], ["0", "0"], ["1", "2"]],
+    "deformation": [[["0", "0"], ["0", "0"], ["0", "0"]]],
+    "deformation_prime": [[["0", "0"], ["0", "0"], ["0", "0"]]],
+    "f": ["0", "0", "1"],
+    "x0": ["0", "0", "1", "0", "0"],
+}
+
+CORPUS = {
+    "valid": json.dumps(ONE_BLOCK),
+    # a second action block that breaks the representation identity (exit 1)
+    "broken": json.dumps({**ONE_BLOCK, "rho": ONE_BLOCK["rho"] + [
+        {"block": [1, 3], "matrix": [["0", "0"], ["1", "0"]]}]}),
+    "zero-module": json.dumps({"schema_version": "1", "n": 2,
+                               "g": {"dim": 2, "bracket": []}, "V": {"dim": 0},
+                               "T": [[], []], "deformation": [[[], []]]}),
+    "malformed": '{"n": 3, "g": ',
+}
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    paths = {}
+    for name, text in CORPUS.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(text)
+    return paths
+
+
+def run(argv: list[str]) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main(argv)
+        except SystemExit as e:  # argparse usage errors
+            return e.code
+
+
+def test_broken_file_fails_a_check(corpus):
+    assert run(["verify", str(corpus["broken"])]) == 1
+    assert run(["verify", str(corpus["valid"])]) == 0
+
+
+@settings(deadline=None, max_examples=100)
+@given(command=st.sampled_from(["verify", "cohomology", "deform", "lift"]),
+       name=st.sampled_from(sorted(CORPUS)),
+       target=st.none() | st.sampled_from(["pair", "operator"]),
+       action=st.none() | st.sampled_from(["check", "extend", "equivalence"]),
+       max_m=st.none() | st.integers(-1, 2),
+       as_json=st.booleans())
+@example(command="deform", name="zero-module", target=None, action="extend",
+         max_m=None, as_json=True)
+def test_every_argv_exits_0_1_or_2(corpus, command, name, target, action, max_m, as_json):
+    argv = [command, str(corpus[name])]
+    if target is not None:
+        argv += ["--target", target]
+    if action is not None:
+        argv += ["--action", action]
+    if max_m is not None:
+        argv += ["--max-m", str(max_m)]
+    if as_json:
+        argv.append("--json")
+    assert run(argv) in (0, 1, 2)

@@ -3,7 +3,8 @@ import random
 from fractions import Fraction
 from math import comb
 
-from conftest import random_blockmap, random_homogeneous, random_matrix
+from conftest import (koszul_sign, random_blockmap, random_homogeneous,
+                      random_matrix)
 
 from nlie import (BlockMap, Matrix, NLieAlgebra, Representation, SpaceSpec,
                   abelian, adjoint_rep, check_filippov, check_representation,
@@ -13,8 +14,10 @@ from nlie.cochain import (check_bidegree_additivity, check_mc_pair, coboundary,
                           twisted_differential)
 from nlie.core import semidirect_blockmap
 from nlie.linalg import Matrix as M, kernel_basis, vadd, vzero
-from nlie.multilinear import (bidegree_of, is_zero_map, lift_linear,
-                              materialize)
+from nlie.multilinear import (bidegree_of, is_zero_map, lift_map,
+                              lift_operator_map, materialize, restrict_map,
+                              sum_space)
+from nlie.rota_baxter import matrix_to_cochain
 
 
 def jacobi_holds(P, Q, R):
@@ -179,7 +182,7 @@ def test_bidegree_additivity_on_lifts(algebras):
     br = materialize(graded_bracket(delta, delta))
     assert br.is_zero() or bidegree_of(br) == (2 * (n - 1), 0)
     rng = random.Random(9)
-    h_hat = lift_linear(random_matrix(rng, 3, 3), n, 3, 3)
+    h_hat = lift_operator_map(matrix_to_cochain(rep, random_matrix(rng, 3, 3)), 3)
     assert bidegree_of(h_hat) == (-1, 1)
     mixed = materialize(graded_bracket(delta, h_hat))
     assert mixed.is_zero() or bidegree_of(mixed) == (n - 2, 1)
@@ -209,7 +212,6 @@ def test_coboundary_dual_route_via_structure_lift(reps):
     """Independent route: bracketing the module-valued lift against the
     combined structure map and restricting equals the coboundary up to
     the degree sign (−1)^blocks."""
-    from nlie.multilinear import lift_module_valued, project_module_part
     rng = random.Random(12)
     for rep in reps[:8]:
         if not (check_filippov(rep.algebra) and check_representation(rep)):
@@ -218,16 +220,17 @@ def test_coboundary_dual_route_via_structure_lift(reps):
         for blocks in (0, 1):
             f = random_blockmap(rng, rep.algebra.n, blocks,
                                 rep.algebra.dim, rep.dim_v)
-            br = graded_bracket(delta, lift_module_valued(f, rep.dim_v))
-            got = project_module_part(br, f.target)
+            space = sum_space(rep.algebra.dim, rep.dim_v)
+            br = graded_bracket(delta, lift_map(f, space, "g", "V"))
+            got = restrict_map(br, "g", "V")
             assert got == coboundary(rep, f).scale(Fraction((-1) ** blocks))
 
 
 def test_binary_generalized_jacobi_mixed_degrees(algebras):
     """The shuffle identity for the derived 2-bracket with Koszul signs,
     on arguments of mixed degree."""
-    from nlie.combinat import koszul_sign, shuffles
-    from nlie.rota_baxter import DerivedContext, derived_bracket, matrix_to_cochain
+    from nlie.combinat import shuffles
+    from nlie.rota_baxter import DerivedContext, derived_bracket
     rng = random.Random(13)
     rep = adjoint_rep(algebras["heis3"])
     ctx = DerivedContext(rep)

@@ -5,10 +5,11 @@ import pytest
 
 from conftest import rand_frac, random_matrix
 
-from nlie import Matrix, abelian, adjoint_rep, zero_representation
+from nlie import Matrix, abelian, adjoint_rep, cli, deformation, zero_representation
 from nlie.deformation import (DeformationJet, check_infinitesimal, check_order,
                               extend, find_equivalence, obstruction,
                               obstruction_via_derived)
+from nlie.io import Problem
 from nlie.linalg import kernel_basis, rank
 from nlie.rota_baxter import (RBOperator, Wedge, cochain_to_vector,
                               rb_coboundary_matrix, vector_to_matrix_cochain,
@@ -46,8 +47,9 @@ def test_constant_jet_extends_with_zero(operator_corpus):
     op = operator_corpus[3]
     zero = Matrix.zero(op.algebra.dim, op.rep.dim_v)
     jet = DeformationJet(op, [zero])
-    assert obstruction(jet).theta.is_zero()
-    nxt = extend(jet)
+    ob = obstruction(jet)
+    assert ob.theta.is_zero()
+    nxt = extend(ob)
     assert nxt is not None and nxt.is_zero()
 
 
@@ -160,8 +162,9 @@ def test_extend_agrees_with_solvability_oracle(operator_corpus):
             jet = DeformationJet(op, [t1])
             if not check_order(jet):
                 continue
-            theta = obstruction(jet).theta
-            nxt = extend(jet)
+            ob = obstruction(jet)
+            theta = ob.theta
+            nxt = extend(ob)
             assert (nxt is not None) == solvability_oracle(op, theta)
             if nxt is not None:
                 assert check_order(jet.extended(nxt))
@@ -181,7 +184,7 @@ def test_frozen_obstructed_instance(algebras):
     theta = obstruction(jet)
     assert theta.cocycle_checked
     assert not solvability_oracle(op, theta.theta)
-    assert extend(jet) is None
+    assert extend(theta) is None
 
 
 def test_second_order_extension_chain(operator_corpus):
@@ -192,13 +195,40 @@ def test_second_order_extension_chain(operator_corpus):
         jet = DeformationJet(op, [t1])
         if not check_order(jet):
             continue
-        nxt = extend(jet)
+        nxt = extend(obstruction(jet))
         if nxt is None:
             continue
         jet2 = jet.extended(nxt)
         assert check_order(jet2)
-        nxt2 = extend(jet2)
+        nxt2 = extend(obstruction(jet2))
         if nxt2 is not None:
             assert check_order(jet2.extended(nxt2))
         return
     pytest.skip("no extendable first-order jet found in the sample")
+
+
+def test_extend_rejects_an_invalid_jet(algebras):
+    rep = adjoint_rep(algebras["sl2"])
+    op = RBOperator(rep, Matrix.zero(3, 3))
+    jet = DeformationJet(op, [OBSTRUCTED_SL2_T1, Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])])
+    assert not check_order(jet)
+    with pytest.raises(ValueError, match="not a valid jet"):
+        extend(obstruction(jet))
+
+
+def test_extend_command_computes_the_obstruction_once(operator_corpus, monkeypatch):
+    """`deform --action extend` reports the obstruction and extends from it."""
+    real, calls = deformation.obstruction, []
+
+    def counting(jet):
+        calls.append(jet)
+        return real(jet)
+
+    monkeypatch.setattr(deformation, "obstruction", counting)
+    monkeypatch.setattr(cli, "obstruction", counting)
+    t = operator_corpus[5]
+    zero = Matrix.zero(t.algebra.dim, t.rep.dim_v)
+    prob = Problem(t.algebra.n, t.algebra, t.rep, operator=t.matrix, deformation=[zero])
+    report = cli.cmd_deform(prob, "extend")
+    assert report["extension"] != "obstructed"
+    assert len(calls) == 1

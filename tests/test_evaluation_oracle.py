@@ -11,7 +11,7 @@ from nlie import Matrix, NLieAlgebra, Representation, SpaceSpec
 from nlie.combinat import blocks_of, sort_with_sign
 from nlie.core import semidirect_blockmap
 from nlie.linalg import basis_vec, vadd, viszero, vscale, vzero
-from nlie.multilinear import BlockMap, _embed, lift_bracket, sum_space
+from nlie.multilinear import BlockMap, lift_map, sum_space
 
 # ---------------------------------------------------------------------------
 # reference implementations: vector arguments expand recursively
@@ -102,7 +102,7 @@ def reference_lift_action(n, dim_g, dim_v, action):
                 continue
             w = vscale(mat.column(slots[i0] - dim_g), Fraction((-1) ** (n - 1 - i0)))
             if not viszero(w):
-                table[(block, tail)] = _embed(w, dim_g, total)
+                table[(block, tail)] = vzero(dim_g) + w
     return BlockMap(n, 1, space, space, table)
 
 
@@ -199,7 +199,8 @@ def test_act_and_operator_match_recursive_expansion(reps, operator_corpus):
 def test_semidirect_blockmap_matches_the_two_lifts(reps, operator_corpus):
     for rep in all_pairs(reps, operator_corpus):
         alg = rep.algebra
-        expect = lift_bracket(reference_blockmap(alg), rep.dim_v).add(
+        expect = lift_map(reference_blockmap(alg), sum_space(alg.dim, rep.dim_v),
+                          "g", "g").add(
             reference_lift_action(alg.n, alg.dim, rep.dim_v, rep.action))
         got = semidirect_blockmap(rep)
         assert got == expect

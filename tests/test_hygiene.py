@@ -1,9 +1,11 @@
 """Static hygiene of the package source, by stdlib `ast` (no linter needed).
 
 Every name a module of `src/nlie` imports must be used in that module.
-`__init__` is exempt: its imports are the package's public surface.
+`__init__` is exempt: its imports are the package's public surface, and
+every one of them, like every name a module lists in `__all__`, must exist.
 """
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,21 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_all_names_resolve(path):
+    module = importlib.import_module(f"nlie.{path.stem}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{path.name} lists undefined names in __all__: {missing}"
+
+
+def test_package_imports_resolve():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"nlie.{node.module}")
+            missing += [f"{node.module}.{a.name}" for a in node.names
+                        if not hasattr(module, a.name)]
+    assert not missing, f"nlie/__init__ imports undefined names: {missing}"

@@ -112,6 +112,23 @@ def test_duplicate_cochain_entry_rejected(tmp_path, capsys):
     assert "cochains[0].entries[1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('{"schema_version"', '{"n": 2, "schema_version"', "n"),       # n = 3 would win
+    ('"value": {"4": "1"}', '"value": {"4": "1", "4": "0"}', "4"),  # 0 would win
+], ids=["top-level", "nested"])
+def test_duplicate_json_key_rejected(tmp_path, capsys, old, new, key):
+    """json keeps the last of two equal keys, at the top level or nested."""
+    text = json.dumps(NILP_FILE)
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    with pytest.raises(ProblemFileError, match=f"duplicate key '{key}'"):
+        parse_problem(text)
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert f"duplicate key '{key}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, where", [
     (("g", "bracket"), "g.bracket[1]"),
     (("rho",), "rho[1]"),
@@ -335,6 +352,17 @@ def test_cli_deform_extend_with_empty_degree2_space(tmp_path, capsys):
     assert main(["deform", path, "--action", "extend", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["extension"] == [["0"], ["0"]]
+
+
+def test_cli_deform_extend_with_zero_dim_module(tmp_path, capsys):
+    """dim V = 0: every cochain space of positive degree is empty, and the
+    extension is the 2 x 0 matrix."""
+    payload = {"schema_version": "1", "n": 2, "g": {"dim": 2, "bracket": []},
+               "V": {"dim": 0}, "T": [[], []], "deformation": [[[], []]]}
+    path = write(tmp_path, "p.json", payload)
+    assert main(["deform", path, "--action", "extend", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["extension"] == [[], []]
 
 
 def test_cli_deform_invalid_jet_reports_order(tmp_path, capsys):

@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import random_blockmap
 
 from nlie import BlockMap, Matrix, SpaceSpec
 from nlie.core import semidirect_blockmap
 from nlie.cochain import graded_bracket
 from nlie.linalg import basis_vec, vector, viszero, vzero
-from nlie.multilinear import (apply_map, bidegree_of, is_tail_antisymmetric,
-                              iter_keys, lift_bracket, lift_linear,
+from nlie.multilinear import (apply_map, bidegree_of, iter_keys, lift_map,
                               lift_operator_map, project_operator_part,
-                              tail_antisymmetrize)
+                              restrict_map, sum_space, tail_antisymmetrize)
 
 
 def test_zero_map_evaluates_zero():
@@ -55,13 +56,15 @@ def test_random_slot_swap_negates():
 
 def test_lift_bracket_bidegree(algebras):
     alg = algebras["nilp4"]
-    mu_hat = lift_bracket(alg.as_blockmap(), 2)
+    mu_hat = lift_map(alg.as_blockmap(), sum_space(alg.dim, 2), "g", "g")
     assert bidegree_of(mu_hat) == (alg.n - 1, 0)
 
 
 def test_lift_linear_bidegree():
     h = Matrix([[1, 0], [0, 2], [0, 0]])
-    h_hat = lift_linear(h, 3, 3, 2)
+    h_map = BlockMap(3, 0, SpaceSpec(2, "V"), SpaceSpec(3, "g"),
+                     {(u,): h.column(u) for u in range(2)})
+    h_hat = lift_operator_map(h_map, 3)
     assert bidegree_of(h_hat) == (-1, 1)
     # pure-g tail gives zero
     assert viszero(apply_map(h_hat, [], 0))
@@ -103,6 +106,34 @@ def test_projection_idempotent():
     assert once == again
 
 
+@pytest.mark.parametrize("args,values", [("g", "g"), ("g", "V"), ("V", "g"), ("V", "V")])
+def test_restriction_undoes_lift_on_every_summand_pair(args, values):
+    """A lifted map is zero off its summand's keys and off its value summand,
+    and restricting it back returns the map."""
+    rng = random.Random(7)
+    dims = {"g": 3, "V": 2}
+    space = sum_space(dims["g"], dims["V"])
+    for blocks in (0, 1, 2):
+        p = random_blockmap(rng, 3, blocks, dims[args], dims[values], args, values)
+        lifted = lift_map(p, space, args, values)
+        assert (lifted.source, lifted.target) == (space, space)
+        assert restrict_map(lifted, args, values) == p
+        other = {"g": "V", "V": "g"}
+        assert restrict_map(lifted, args, other[values]).is_zero()
+        assert restrict_map(lifted, other[args], values).is_zero()
+
+
+def test_lift_rejects_maps_that_do_not_fit():
+    rng = random.Random(8)
+    p = random_blockmap(rng, 3, 1, 2, 3, src_label="V", tgt_label="g")
+    with pytest.raises(ValueError):
+        lift_map(p, sum_space(3, 2), "g", "V")
+    with pytest.raises(ValueError):
+        lift_map(p, SpaceSpec(5), "V", "g")
+    with pytest.raises(ValueError):
+        restrict_map(p, "V", "g")
+
+
 def test_kernel_of_projection_closed_under_bracket():
     """Homogeneous maps with nonnegative g-count stay outside the
     operator-cochain shape after bracketing: the projection kernel is a
@@ -130,7 +161,6 @@ def test_tail_antisymmetrize_idempotent():
     rng = random.Random(9)
     p = random_blockmap(rng, 3, 2, 3, 2)
     sym = tail_antisymmetrize(p)
-    assert is_tail_antisymmetric(sym)
     assert tail_antisymmetrize(sym) == sym
 
 
