@@ -11,12 +11,12 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from typing import Any, Optional
 
 from .core import (CheckReport, SymplecticForm, check_filippov,
                    check_representation, check_symplectic)
-from .deformation import (DeformationJet, check_order, extend,
-                          find_equivalence, obstruction)
+from .deformation import DeformationJet, extend, find_equivalence, obstruction
 from .io import Problem, ProblemFileError, emit_problem, load_problem
 from .lift import (is_admissible, is_central, lift_operator,
                    operator_chain_map_holds, pair_chain_map_holds,
@@ -102,7 +102,48 @@ def cmd_verify(prob: Problem) -> dict:
     return {"command": "verify", "checks": checks}
 
 
-def cmd_cohomology(prob: Problem, max_m: int, target: str) -> dict:
+# The largest differential `cohomology` builds unless --no-size-limit is
+# given, in matrix entries (rows × cols).  The dense matrix costs about 24
+# bytes per entry: cross4's d_3 (3456 × 576, 2.0M entries) builds and ranks
+# in 1.4 s with a 76 MB peak, and cross4's d_4 (20736 × 3456, 71.7M entries)
+# would need about 1.7 GB.
+MAX_DIFFERENTIAL_ENTRIES = 4_000_000
+
+
+def oversized_differential(prob: Problem, max_m: int, target: str,
+                           limit: int) -> Optional[tuple[int, int, int]]:
+    """(m, rows, cols) of the first differential d_m of the table with more
+    than `limit` entries, or None.
+
+    |C^m| = C(d, n−1)^(m−1)·d·dim M for the algebra of dimension d acting on
+    the module M: g on V for the pair, V on g for the operator, whose degree
+    0 is ∧^{n−1}g.  Nothing is built.
+    """
+    n, dg, dv = prob.n, prob.dim_g, prob.dim_v
+    d, module, first = (dg, dv, 1) if target == "pair" else (dv, dg, 0)
+    c = comb(d, n - 1)
+
+    def dim(m: int) -> int:
+        return comb(dg, n - 1) if m == 0 else c ** (m - 1) * d * module
+
+    for m in range(first, max_m + 1):
+        if dim(m + 1) * dim(m) > limit:
+            return m, dim(m + 1), dim(m)
+        if m >= 1 and (c <= 1 or d * module == 0):
+            return None  # |C^m| stops growing, so no later d_m is larger
+    return None
+
+
+def cmd_cohomology(prob: Problem, max_m: int, target: str,
+                   limit: Optional[int] = MAX_DIFFERENTIAL_ENTRIES) -> dict:
+    """The cohomology table up to degree max_m; refused as an input error
+    when a differential has more than `limit` entries (None: no limit)."""
+    big = None if limit is None else oversized_differential(prob, max_m, target, limit)
+    if big is not None:
+        m, rows, cols = big
+        raise ProblemFileError(
+            f"d_{m} would be a {rows} x {cols} matrix ({rows * cols} entries), "
+            f"over the limit of {limit}; pass --no-size-limit to build it")
     checks: list[dict] = []
     if target == "pair":
         table = cohomology_table(lambda m: coboundary_matrix(prob.rep, m), 1, max_m)
@@ -140,8 +181,8 @@ def cmd_deform(prob: Problem, action: str) -> dict:
         return report
     if not prob.deformation:
         raise ProblemFileError("deformation coefficients missing")
-    jet = DeformationJet(t, list(prob.deformation))
-    order = check_order(jet)
+    jet = DeformationJet(t, prob.deformation)
+    order = jet.order_report
     entry = {"check": "order_validity", "status": "pass" if order.holds else "fail"}
     if not order.holds:
         s, vs = order.witness
@@ -253,6 +294,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_coh = sub.add_parser("cohomology", help="cochain/cohomology dimension table")
     p_coh.add_argument("--max-m", type=int, default=2, dest="max_m")
     p_coh.add_argument("--target", choices=("pair", "operator"), default="pair")
+    p_coh.add_argument("--no-size-limit", action="store_true", dest="no_size_limit",
+                       help=f"build differentials with more than "
+                            f"{MAX_DIFFERENTIAL_ENTRIES} entries")
     p_def = sub.add_parser("deform", help="deformation checks, extension, equivalence")
     p_def.add_argument("--action", choices=("check", "extend", "equivalence"),
                        default="check")
@@ -273,7 +317,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "verify":
             report = cmd_verify(prob)
         elif args.command == "cohomology":
-            report = cmd_cohomology(prob, args.max_m, args.target)
+            limit = None if args.no_size_limit else MAX_DIFFERENTIAL_ENTRIES
+            report = cmd_cohomology(prob, args.max_m, args.target, limit)
         elif args.command == "deform":
             report = cmd_deform(prob, args.action)
         else:

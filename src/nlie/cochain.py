@@ -8,64 +8,106 @@ come from :mod:`nlie.combinat`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable
 
-from .combinat import shuffles
+from .combinat import shuffles, sort_with_sign
 from .core import NLieAlgebra, Representation, semidirect_blockmap
 from .linalg import Matrix, Vec, basis_vec, rank, vadd, viszero, vscale, vsub, vzero
 from .multilinear import (AnyMap, BlockMap, LazyMap, SpaceSpec, apply_map,
                           bidegree_of, is_zero_map, iter_keys, materialize)
 
 
-def coboundary(rep: Representation, f: AnyMap) -> BlockMap:
-    """The differential of an (f.blocks+1)-cochain valued in rep's module."""
+def _differential(rep: Representation, m: int) -> dict:
+    """The differential from m-cochains to (m+1)-cochains as sparse columns.
+
+    Maps each source coordinate (key, c) to the nonzero (destination key,
+    coordinate, coefficient) entries of its image.  One pass over the
+    destination keys expands every term over coordinates: the bracket terms
+    act on keys and keep the coordinate, the two action terms read the
+    action matrices through `rep.act`.
+    """
     alg = rep.algebra
-    n, d = alg.n, alg.dim
-    if f.source.dim != d:
+    n, d, dv = alg.n, alg.dim, rep.dim_v
+    entries: dict = {}  # (source key, c) -> {(destination key, r): coefficient}
+
+    @cache
+    def bracket(block, x):
+        """Nonzero coordinates (i, w) of [block..., x]."""
+        return [(i, w) for i, w in enumerate(alg.bracket([*block, x])) if w]
+
+    @cache
+    def action(args):
+        """Nonzero entries (r, c, x) of the action matrix of args."""
+        return [(r, c, x) for c in range(dv) for r, x in enumerate(rep.act(args, c)) if x]
+
+    def add(src, c, dst, r, x):
+        col = entries.setdefault((src, c), {})
+        col[(dst, r)] = col.get((dst, r), 0) + x
+
+    for key in iter_keys(d, n - 1, m):
+        X, t = key[:-1], key[-1]
+        for j in range(m):
+            sj = (-1) ** (j + 1)
+            others = X[:j] + X[j + 1:]
+            # blocks composed into blocks
+            for k in range(j + 1, m):
+                for i in range(n - 1):
+                    for idx, w in bracket(X[j], X[k][i]):
+                        s, nb = sort_with_sign(X[k][:i] + (idx,) + X[k][i + 1:])
+                        if s:
+                            src = X[:j] + X[j + 1:k] + (nb,) + X[k + 1:] + (t,)
+                            for c in range(dv):
+                                add(src, c, key, c, sj * s * w)
+            # block bracketed with the tail
+            for idx, w in bracket(X[j], t):
+                for c in range(dv):
+                    add(others + (idx,), c, key, c, sj * w)
+            # action on the value
+            for r, c, x in action(X[j]):
+                add(others + (t,), c, key, r, -sj * x)
+        # action of the last block's entries paired with the tail
+        last = X[m - 1]
+        for i in range(n - 1):
+            sign = (-1) ** (n + m - i)
+            for r, c, x in action(last[:i] + last[i + 1:] + (t,)):
+                add(X[:m - 1] + (last[i],), c, key, r, sign * x)
+    cols = {}
+    for src, col in entries.items():
+        nonzero = tuple((dst, r, x) for (dst, r), x in col.items() if x)
+        if nonzero:
+            cols[src] = nonzero
+    return cols
+
+
+def coboundary(rep: Representation, f: AnyMap) -> BlockMap:
+    """The differential of an (f.blocks+1)-cochain valued in rep's module:
+    the columns of rep's differential applied to f's nonzero coordinates.
+    Each differential is built on first use and kept in `rep.differentials`.
+
+    A table key that is not a basis key of the cochain space (an unsorted
+    or repeated block, blocks of the wrong size) is ignored.
+    """
+    alg = rep.algebra
+    if f.source.dim != alg.dim:
         raise ValueError("cochain source does not match the algebra")
     if f.target.dim != rep.dim_v:
         raise ValueError("cochain target does not match the module")
     m = f.blocks + 1
-    dv = rep.dim_v
-    table = {}
-    for key in iter_keys(d, n - 1, m):
-        X = key[:-1]
-        t = key[-1]
-        total = vzero(dv)
-        # blocks composed into blocks
-        for j in range(m):
-            sj = Fraction((-1) ** (j + 1))
-            for k in range(j + 1, m):
-                for i in range(n - 1):
-                    w = alg.bracket([*X[j], X[k][i]])
-                    if viszero(w):
-                        continue
-                    nb = X[k][:i] + (w,) + X[k][i + 1:]
-                    rest = list(X[:j]) + list(X[j + 1:k]) + [nb] + list(X[k + 1:])
-                    v = apply_map(f, rest, t)
-                    if not viszero(v):
-                        total = vadd(total, vscale(v, sj))
-            # block bracketed with the tail
-            w = alg.bracket([*X[j], t])
-            if not viszero(w):
-                rest = list(X[:j]) + list(X[j + 1:])
-                total = vadd(total, vscale(apply_map(f, rest, w), sj))
-            # action on the value
-            rest = list(X[:j]) + list(X[j + 1:])
-            v = apply_map(f, rest, t)
-            if not viszero(v):
-                total = vadd(total, vscale(rep.act(X[j], v), -sj))
-        # action of the last block's entries paired with the tail
-        last = X[m - 1]
-        for i in range(n - 1):
-            v = apply_map(f, list(X[:m - 1]), last[i])
-            if viszero(v):
-                continue
-            w = rep.act([*last[:i], *last[i + 1:], t], v)
-            total = vadd(total, vscale(w, Fraction((-1) ** (n + m - i))))
-        if not viszero(total):
-            table[key] = total
-    return BlockMap(n, m, f.source, f.target, table)
+    cols = rep.differentials.get(m)
+    if cols is None:
+        cols = rep.differentials[m] = _differential(rep, m)
+    table = f.table if isinstance(f, BlockMap) else materialize(f).table
+    out: dict = {}
+    for key, v in table.items():
+        for c, x in enumerate(v):
+            if x:
+                for dst, r, y in cols.get((key, c), ()):
+                    row = out.get(dst)
+                    if row is None:
+                        row = out[dst] = [Fraction(0)] * rep.dim_v
+                    row[r] += x * y
+    return BlockMap(alg.n, m, f.source, f.target, {k: tuple(v) for k, v in out.items()})
 
 
 def cochain_basis(d: int, n: int, m: int, dv: int):
@@ -89,7 +131,8 @@ def _scatter(images: Iterable[dict], dst: list) -> Matrix:
 
 
 def coboundary_matrix(rep: Representation, m: int) -> Matrix:
-    """Matrix of the differential from m-cochains to (m+1)-cochains."""
+    """Matrix of the differential from m-cochains to (m+1)-cochains: the
+    coboundary of each source basis cochain, one column each."""
     alg = rep.algebra
     d, n, dv = alg.dim, alg.n, rep.dim_v
     source = SpaceSpec(d, "g")

@@ -121,9 +121,11 @@ class Representation:
 
     As a 1-block map whose key (block, u) reads column u of the block's
     matrix, it evaluates through :func:`~nlie.multilinear.apply_map`.
+    `differentials` holds the cochain differentials built so far, keyed by
+    source degree (see :func:`nlie.cochain.coboundary`).
     """
 
-    __slots__ = ("algebra", "module", "action")
+    __slots__ = ("algebra", "module", "action", "differentials")
     blocks = 1
 
     def __init__(self, algebra: NLieAlgebra, module: SpaceSpec,
@@ -131,6 +133,7 @@ class Representation:
         self.algebra = algebra
         self.module = module
         self.action: dict[tuple[int, ...], Matrix] = {}
+        self.differentials: dict[int, dict] = {}
         if action:
             for key, mat in action.items():
                 if tuple(sorted(key)) != tuple(key) or len(set(key)) != algebra.n - 1:

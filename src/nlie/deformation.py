@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Optional
 
@@ -24,12 +25,15 @@ from .rota_baxter import (DerivedContext, RBOperator, Wedge,
                           wedge_basis, wedge_coboundary_matrix)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeformationJet:
+    """The jet (T, T_1, ..., T_m) of an operator T; frozen, so its order
+    report is computed once however many callers read it."""
     base: RBOperator
-    coeffs: list[Matrix]
+    coeffs: tuple[Matrix, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
         dg = self.base.algebra.dim
         dv = self.base.rep.dim_v
         for m in self.coeffs:
@@ -44,7 +48,12 @@ class DeformationJet:
         return [self.base.matrix] + list(self.coeffs)
 
     def extended(self, nxt: Matrix) -> "DeformationJet":
-        return DeformationJet(self.base, list(self.coeffs) + [nxt])
+        return DeformationJet(self.base, self.coeffs + (nxt,))
+
+    @cached_property
+    def order_report(self) -> CheckReport:
+        """:func:`check_order` of this jet, run on first use."""
+        return check_order(self)
 
 
 def _coefficient_residual(jet_ops: list[Matrix], base: RBOperator, s: int,
@@ -155,10 +164,10 @@ def extend(ob: ObstructionClass) -> Optional[Matrix]:
     """Next coefficient of the obstruction's jet if its class is trivial, else None.
 
     Solves d·x = −theta exactly; any returned coefficient is re-verified by
-    rerunning the order checks on the extended jet.
+    running the order checks on the extended jet.
     """
     jet = ob.jet
-    if not check_order(jet):
+    if not jet.order_report:
         raise ValueError("not a valid jet")
     d1 = rb_coboundary_matrix(jet.base, 1)
     rhs = tuple(-x for x in cochain_to_vector(jet.base, ob.theta, 2))

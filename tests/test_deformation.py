@@ -232,3 +232,22 @@ def test_extend_command_computes_the_obstruction_once(operator_corpus, monkeypat
     report = cli.cmd_deform(prob, "extend")
     assert report["extension"] != "obstructed"
     assert len(calls) == 1
+
+
+def test_extend_command_checks_the_input_jet_once(operator_corpus, monkeypatch):
+    """`deform --action extend` runs the order checks once on the input jet,
+    for the report and for `extend`, and once on the extended jet."""
+    real, orders = deformation.check_order, []
+
+    def counting(jet):
+        orders.append(jet.order)
+        return real(jet)
+
+    monkeypatch.setattr(deformation, "check_order", counting)
+    monkeypatch.setattr(cli, "check_order", counting, raising=False)
+    t = operator_corpus[5]
+    zero = Matrix.zero(t.algebra.dim, t.rep.dim_v)
+    prob = Problem(t.algebra.n, t.algebra, t.rep, operator=t.matrix, deformation=[zero])
+    report = cli.cmd_deform(prob, "extend")
+    assert report["extension"] != "obstructed"
+    assert orders == [1, 2]

@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from nlie.cli import main
-from nlie.io import ProblemFileError, emit_problem, load_problem, parse_problem
+from nlie import (Matrix, NLieAlgebra, SpaceSpec, abelian, adjoint_rep, cli,
+                  zero_representation)
+from nlie.cli import main, oversized_differential
+from nlie.io import (Problem, ProblemFileError, emit_problem, load_problem,
+                     parse_problem)
 
 NILP_FILE = {
     "schema_version": "1",
@@ -320,6 +323,70 @@ def test_cli_cohomology_max_m_range(tmp_path, capsys, target, lowest):
                  "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [row["m"] for row in report["table"]] == [lowest]
+
+
+class Built(Exception):
+    """Raised by a differential builder that must not be reached."""
+
+
+def forbid_builds(monkeypatch):
+    def build(*args):
+        raise Built
+    monkeypatch.setattr(cli, "coboundary_matrix", build)
+    monkeypatch.setattr(cli, "rb_coboundary_matrix", build)
+
+
+def cross4_problem() -> Problem:
+    """The adjoint pair of the 4-dimensional 3-Lie algebra with the zero
+    operator: |C^m| = 6^(m-1)·16 for both targets."""
+    alg = NLieAlgebra(3, SpaceSpec(4, "g"), {
+        (0, 1, 2): [0, 0, 0, 1], (0, 1, 3): [0, 0, -1, 0],
+        (0, 2, 3): [0, 1, 0, 0], (1, 2, 3): [-1, 0, 0, 0]})
+    return Problem(3, alg, adjoint_rep(alg), operator=Matrix.zero(4, 4))
+
+
+@pytest.mark.parametrize("target", ["pair", "operator"])
+def test_size_guard_refuses_before_building(tmp_path, capsys, monkeypatch, target):
+    """cross4's d_4 (20736 x 3456, 71.7M entries) is refused with exit 2
+    before anything is built; d_3 (1.99M entries) and --no-size-limit get
+    through to the builder, which here raises instead of building."""
+    forbid_builds(monkeypatch)
+    path = tmp_path / "cross4.json"
+    path.write_text(emit_problem(cross4_problem()))
+    argv = ["cohomology", str(path), "--target", target, "--json"]
+    assert main(argv + ["--max-m", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d_4 would be a 20736 x 3456 matrix (71663616 entries)" in captured.err
+    assert "--no-size-limit" in captured.err
+    assert main(argv + ["--max-m", "9"]) == 2
+    assert "d_4 would be" in capsys.readouterr().err
+    with pytest.raises(Built):
+        main(argv + ["--max-m", "4", "--no-size-limit"])
+    with pytest.raises(Built):
+        main(argv + ["--max-m", "3"])
+
+
+def test_size_guard_closed_form():
+    prob = cross4_problem()
+    limit = cli.MAX_DIFFERENTIAL_ENTRIES
+    assert 3456 * 576 <= limit < 20736 * 3456
+    for target in ("pair", "operator"):
+        assert oversized_differential(prob, 3, target, limit) is None
+        assert oversized_differential(prob, 4, target, limit) == (4, 20736, 3456)
+        # the scan stops at the first refused degree, whatever --max-m is
+        assert oversized_differential(prob, 10 ** 9, target, limit) == (4, 20736, 3456)
+        assert oversized_differential(prob, 2, target, 576 * 96 - 1) == (2, 576, 96)
+    # the operator's degree 0: d_0 is 3000 x 3000 for dim g = 3000, dim V = 1
+    wide = abelian(2, 3000)
+    assert oversized_differential(Problem(2, wide, zero_representation(wide, 1)),
+                                  0, "operator", limit) == (0, 3000, 3000)
+    # sizes that stop growing are scanned only until they do: C(2, 2) = 1
+    # and C(1, 2) = 0 blocks over V
+    small = abelian(3, 3)
+    for dv in (2, 1):
+        prob = Problem(3, small, zero_representation(small, dv))
+        assert oversized_differential(prob, 10 ** 9, "operator", limit) is None
 
 
 def test_cli_machine_output_deterministic(tmp_path, capsys):
