@@ -3,7 +3,10 @@
 Degrees here count blocks: a map with b blocks and one tail sits in graded
 degree b (the classical m-cochain space has b = m-1).  The composition
 underlying the graded bracket distributes blocks by shuffles; all signs
-come from :mod:`nlie.combinat`.
+come from :mod:`nlie.combinat`.  Both the differential and the graded
+bracket work from nonzero entries: the differential is built once per
+representation and degree as sparse columns, and the bracket composes the
+nonzero entries of its two arguments into a sparse table.
 """
 from __future__ import annotations
 
@@ -13,9 +16,9 @@ from typing import Callable, Iterable
 
 from .combinat import shuffles, sort_with_sign
 from .core import NLieAlgebra, Representation, semidirect_blockmap
-from .linalg import Matrix, Vec, basis_vec, rank, vadd, viszero, vscale, vsub, vzero
-from .multilinear import (AnyMap, BlockMap, LazyMap, SpaceSpec, apply_map,
-                          bidegree_of, is_zero_map, iter_keys, materialize)
+from .linalg import Matrix, Vec, basis_vec, rank
+from .multilinear import (AnyMap, BlockMap, SpaceSpec, bidegree_of, is_zero_map,
+                          iter_keys, materialize)
 
 
 def _differential(rep: Representation, m: int) -> dict:
@@ -117,17 +120,20 @@ def cochain_basis(d: int, n: int, m: int, dv: int):
 
 def _scatter(images: Iterable[dict], dst: list) -> Matrix:
     """Matrix whose j-th column holds the j-th image table's coordinates over
-    the destination basis `dst` of (key, coordinate) pairs."""
+    the destination basis `dst` of (key, coordinate) pairs.  The rows are
+    filled from the images' nonzero entries, which are already Fractions."""
     pos = {b: i for i, b in enumerate(dst)}
-    cols = []
-    for table in images:
-        col = [Fraction(0)] * len(dst)
+    tables = list(images)
+    zero = Fraction(0)
+    rows = [[zero] * len(tables) for _ in dst]
+    for j, table in enumerate(tables):
         for key, v in table.items():
             for i, x in enumerate(v):
-                if x != 0:
-                    col[pos[(key, i)]] = x
-        cols.append(col)
-    return Matrix.from_columns(cols) if cols else Matrix.zero(len(dst), 0)
+                if x:
+                    rows[pos[(key, i)]][j] = x
+    for i, row in enumerate(rows):
+        rows[i] = tuple(row)
+    return Matrix.from_fraction_rows(rows, len(tables))
 
 
 def coboundary_matrix(rep: Representation, m: int) -> Matrix:
@@ -174,57 +180,101 @@ def cohomology_dim(rep: Representation, m: int) -> int:
 # the graded Lie bracket on block maps
 # ---------------------------------------------------------------------------
 
-def _circ(P: AnyMap, Q: AnyMap, key) -> Vec:
+def _basis_entries(f: BlockMap) -> list[tuple[tuple, int, Vec]]:
+    """(blocks, tail, value) of f's table entries at basis keys: `blocks`
+    strictly increasing (n−1)-tuples and one tail, indices in range.  No
+    other key is ever read by `apply_map`, so none enters a composition."""
+    span = range(f.source.dim)
+
+    def basis_block(b) -> bool:
+        return (isinstance(b, tuple) and len(b) == f.n - 1 and all(i in span for i in b)
+                and all(a < c for a, c in zip(b, b[1:])))
+
+    out = []
+    for key, v in f.table.items():
+        blocks, tail = key[:-1], key[-1]
+        if len(blocks) == f.blocks and tail in span and all(map(basis_block, blocks)):
+            out.append((blocks, tail, v))
+    return out
+
+
+def _shuffled(perm: tuple, items: tuple) -> tuple:
+    """The tuple X with X[perm[t]] = items[t]."""
+    out = [None] * len(items)
+    for t, pos in enumerate(perm):
+        out[pos] = items[t]
+    return tuple(out)
+
+
+def _compose(P: BlockMap, Q: BlockMap, sign: int, out: dict) -> None:
+    """Add sign·(P∘Q) to `out` (key -> coordinate list), from the nonzero
+    entries of P and Q.
+
+    Q's entries are indexed by the coordinate c their value hits.  An entry
+    of P with c in block k takes Q's value in that slot: its output key puts
+    P's first k−1 blocks and Q's blocks through a (k−1, q)-shuffle, then the
+    re-sorted block k and the rest of P's key.  An entry of P with tail c
+    puts all of P's blocks and Q's blocks through a (p, q)-shuffle, followed
+    by Q's tail.
+    """
     p, q = P.blocks, Q.blocks
-    n = P.n
-    X = key[:-1]
-    x = key[-1]
-    total = vzero(P.target.dim)
-    # insertion of Q's value into one block of P
-    for k in range(1, p + 1):
-        base = Fraction((-1) ** ((k - 1) * q))
-        consumed = X[k + q - 1]
-        restb = list(X[k + q:])
-        for perm, sgn in shuffles(k - 1, q):
-            front = [X[perm[t]] for t in range(k - 1)]
-            qargs = [list(X[perm[t]]) for t in range(k - 1, k - 1 + q)]
-            coeff = base * sgn
-            for i in range(n - 1):
-                inner = apply_map(Q, qargs, consumed[i])
-                if viszero(inner):
-                    continue
-                nb = list(consumed)
-                nb[i] = inner
-                val = apply_map(P, front + [nb] + restb, x)
-                if not viszero(val):
-                    total = vadd(total, vscale(val, coeff))
-    # Q's value fed to P's tail
-    base = Fraction((-1) ** (p * q))
-    for perm, sgn in shuffles(p, q):
-        pargs = [X[perm[t]] for t in range(p)]
-        qargs = [list(X[perm[t]]) for t in range(p, p + q)]
-        inner = apply_map(Q, qargs, x)
-        if viszero(inner):
-            continue
-        val = apply_map(P, pargs, inner)
-        if not viszero(val):
-            total = vadd(total, vscale(val, base * sgn))
-    return total
+    dim = P.target.dim
+    hits: dict[int, list] = {}
+    for blocks, tail, v in _basis_entries(Q):
+        for c, y in enumerate(v):
+            if y:
+                hits.setdefault(c, []).append((blocks, tail, y))
+
+    def add(key, coeff, nz):
+        row = out.get(key)
+        if row is None:
+            row = out[key] = [Fraction(0)] * dim
+        for r, z in nz:
+            row[r] += coeff * z
+
+    for B, x, value in _basis_entries(P):
+        nz = [(r, z) for r, z in enumerate(value) if z]
+        # Q's value inserted into block k of P
+        for k in range(1, p + 1):
+            base = sign * (-1) ** ((k - 1) * q)
+            block = B[k - 1]
+            for j, c in enumerate(block):
+                for Y, e, y in hits.get(c, ()):
+                    s, consumed = sort_with_sign(block[:j] + (e,) + block[j + 1:])
+                    if not s:
+                        continue
+                    after = (consumed,) + B[k:] + (x,)
+                    for perm, sgn in shuffles(k - 1, q):
+                        add(_shuffled(perm, B[:k - 1] + Y) + after, base * sgn * s * y, nz)
+        # Q's value fed to P's tail
+        base = sign * (-1) ** (p * q)
+        for Y, e, y in hits.get(x, ()):
+            for perm, sgn in shuffles(p, q):
+                add(_shuffled(perm, B + Y) + (e,), base * sgn * y, nz)
 
 
-def graded_bracket(P: AnyMap, Q: AnyMap) -> LazyMap:
-    """Graded commutator P∘Q − (−1)^{pq} Q∘P, evaluated lazily."""
+def graded_bracket(P: AnyMap, Q: AnyMap) -> BlockMap:
+    """Graded commutator P∘Q − (−1)^{pq} Q∘P of two maps from a space to
+    itself, composed from their nonzero entries.
+
+    A `LazyMap` argument is materialized first.  A table key that is not a
+    basis key (an unsorted or repeated block, blocks of the wrong size) is
+    ignored.
+    """
     if P.source.dim != Q.source.dim or P.n != Q.n:
         raise ValueError("bracket arguments live on different spaces")
-    sign = Fraction((-1) ** (P.blocks * Q.blocks))
+    if P.target.dim != P.source.dim or Q.target.dim != Q.source.dim:
+        raise ValueError("bracket arguments must take values in their argument space")
+    P = P if isinstance(P, BlockMap) else materialize(P)
+    Q = Q if isinstance(Q, BlockMap) else materialize(Q)
+    out: dict = {}
+    _compose(P, Q, 1, out)
+    _compose(Q, P, -(-1) ** (P.blocks * Q.blocks), out)
+    return BlockMap(P.n, P.blocks + Q.blocks, P.source, P.target,
+                    {k: tuple(v) for k, v in out.items()})
 
-    def fn(key) -> Vec:
-        return vsub(_circ(P, Q, key), vscale(_circ(Q, P, key), sign))
 
-    return LazyMap(P.n, P.blocks + Q.blocks, P.source, P.target, fn)
-
-
-def twisted_differential(pi: AnyMap, f: AnyMap) -> LazyMap:
+def twisted_differential(pi: AnyMap, f: AnyMap) -> BlockMap:
     """d_pi = [pi, −] for a square-zero element, which is re-validated."""
     if not is_zero_map(graded_bracket(pi, pi)):
         raise ValueError("twisting element does not square to zero")
@@ -247,7 +297,7 @@ def check_bidegree_additivity(f: AnyMap, g: AnyMap) -> bool:
     bg = bidegree_of(g)
     if bf is None or bg is None:
         raise ValueError("inputs must be homogeneous")
-    br = materialize(graded_bracket(f, g))
+    br = graded_bracket(f, g)
     if br.is_zero():
         return True
     return bidegree_of(br) == (bf[0] + bg[0], bf[1] + bg[1])

@@ -72,9 +72,15 @@ class Matrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
+        return Matrix.from_fraction_rows([(_ZERO,) * cols] * rows, cols)
+
+    @staticmethod
+    def from_fraction_rows(rows: Sequence[Vec], cols: int) -> "Matrix":
+        """A rows × cols matrix over tuples whose entries are already
+        Fractions, taken as they are: no entry is coerced or copied."""
         m = Matrix.__new__(Matrix)
-        m.rows, m.cols = rows, cols
-        m.entries = tuple((_ZERO,) * cols for _ in range(rows))
+        m.rows, m.cols = len(rows), cols
+        m.entries = tuple(rows)
         return m
 
     @staticmethod

@@ -12,8 +12,7 @@ expands vector arguments over their nonzero coordinates, sorts each block
 with its sign and looks the key up.  The key enumerations
 (:func:`domain_keys`, :func:`materialize`) also read `n`, `blocks` and
 `source`.  :class:`BlockMap` and :class:`LazyMap` (the same contract backed
-by a memoized callable, which the graded bracket returns so that deep
-iterated brackets only evaluate the keys somebody asks for) satisfy all of
+by a memoized callable, for a map known only key by key) satisfy all of
 it, as does :class:`nlie.core.NLieAlgebra`; :class:`nlie.core.Representation`
 has no single source space and satisfies the evaluation part.  So brackets
 and actions evaluate like any other cochain.

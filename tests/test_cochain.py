@@ -70,6 +70,18 @@ def test_bracket_with_zero():
     assert is_zero_map(graded_bracket(P, Z))
 
 
+def test_bracket_rejects_values_outside_the_argument_space():
+    """Maps g(3) -> V(2) would feed V-coordinates into g-slots."""
+    import pytest
+    g, v = SpaceSpec(3, "g"), SpaceSpec(2, "V")
+    P = BlockMap(2, 1, g, v, {((0,), 1): (Fraction(1), Fraction(0))})
+    Q = BlockMap(2, 0, g, v, {(2,): (Fraction(0), Fraction(1))})
+    square = BlockMap(2, 0, g, g, {(2,): (Fraction(0), Fraction(1), Fraction(0))})
+    for args in ((P, Q), (Q, P), (P, square), (square, P)):
+        with pytest.raises(ValueError, match="argument space"):
+            graded_bracket(*args)
+
+
 def test_self_bracket_zero_iff_filippov(algebras):
     for name in ("nilp4", "cross4", "sl2"):
         mu = algebras[name].as_blockmap()

@@ -1,0 +1,212 @@
+"""The per-key graded bracket, kept as the oracle for the sparse one.
+
+`_circ` and `oracle_graded_bracket` evaluate the composition at each
+requested key through `apply_map`, walking every shuffle and every slot.
+Production code composes the bracket from the nonzero entries of its
+arguments instead; the tests below compare the two exactly.
+"""
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import random_blockmap
+
+from nlie import (BlockMap, LazyMap, Matrix, NLieAlgebra, Representation,
+                  check_filippov, check_representation)
+from nlie.cochain import check_mc_pair, graded_bracket
+from nlie.combinat import shuffles
+from nlie.core import semidirect_blockmap
+from nlie.linalg import Vec, vadd, viszero, vscale, vsub, vzero
+from nlie.lift import admissible_covectors, lift_operator
+from nlie.multilinear import (AnyMap, apply_map, materialize,
+                              project_operator_part)
+from nlie.rota_baxter import (DerivedContext, derived_bracket,
+                              matrix_to_cochain)
+
+
+def _circ(P: AnyMap, Q: AnyMap, key) -> Vec:
+    p, q = P.blocks, Q.blocks
+    n = P.n
+    X = key[:-1]
+    x = key[-1]
+    total = vzero(P.target.dim)
+    # insertion of Q's value into one block of P
+    for k in range(1, p + 1):
+        base = Fraction((-1) ** ((k - 1) * q))
+        consumed = X[k + q - 1]
+        restb = list(X[k + q:])
+        for perm, sgn in shuffles(k - 1, q):
+            front = [X[perm[t]] for t in range(k - 1)]
+            qargs = [list(X[perm[t]]) for t in range(k - 1, k - 1 + q)]
+            coeff = base * sgn
+            for i in range(n - 1):
+                inner = apply_map(Q, qargs, consumed[i])
+                if viszero(inner):
+                    continue
+                nb = list(consumed)
+                nb[i] = inner
+                val = apply_map(P, front + [nb] + restb, x)
+                if not viszero(val):
+                    total = vadd(total, vscale(val, coeff))
+    # Q's value fed to P's tail
+    base = Fraction((-1) ** (p * q))
+    for perm, sgn in shuffles(p, q):
+        pargs = [X[perm[t]] for t in range(p)]
+        qargs = [list(X[perm[t]]) for t in range(p, p + q)]
+        inner = apply_map(Q, qargs, x)
+        if viszero(inner):
+            continue
+        val = apply_map(P, pargs, inner)
+        if not viszero(val):
+            total = vadd(total, vscale(val, base * sgn))
+    return total
+
+
+def oracle_graded_bracket(P: AnyMap, Q: AnyMap) -> LazyMap:
+    """Graded commutator P∘Q − (−1)^{pq} Q∘P, evaluated lazily."""
+    if P.source.dim != Q.source.dim or P.n != Q.n:
+        raise ValueError("bracket arguments live on different spaces")
+    sign = Fraction((-1) ** (P.blocks * Q.blocks))
+
+    def fn(key) -> Vec:
+        return vsub(_circ(P, Q, key), vscale(_circ(Q, P, key), sign))
+
+    return LazyMap(P.n, P.blocks + Q.blocks, P.source, P.target, fn)
+
+
+def oracle_derived_bracket(ctx: DerivedContext, cochains) -> BlockMap:
+    """`derived_bracket` with every bracket taken by the oracle."""
+    acc = ctx.delta
+    for c in cochains:
+        acc = oracle_graded_bracket(acc, ctx.lift(c))
+    return project_operator_part(acc)
+
+
+def random_rational_map(rng: random.Random, n: int, blocks: int, d: int,
+                        density: float) -> BlockMap:
+    """A random map g -> g with rational entries on about `density` of the keys."""
+    f = random_blockmap(rng, n, blocks, d, d, "g", "g", density=density)
+    table = {k: tuple(x / rng.randint(1, 3) for x in v) for k, v in f.table.items()}
+    return BlockMap(n, blocks, f.source, f.target, table)
+
+
+def assert_equals_oracle(P: AnyMap, Q: AnyMap) -> BlockMap:
+    br = graded_bracket(P, Q)
+    assert isinstance(br, BlockMap)
+    assert br == materialize(oracle_graded_bracket(P, Q)), (P, Q)
+    return br
+
+
+# n -> the dimension of g; chosen so that the oracle stays cheap at p = q = 2
+DIMS = {2: 3, 3: 3, 4: 4}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_maps_equal_the_oracle(n):
+    rng = random.Random(100 + n)
+    nonzero = 0
+    for p, q in itertools.product(range(3), repeat=2):
+        for density in (0.25, 0.7):
+            P = random_rational_map(rng, n, p, DIMS[n], density)
+            Q = random_rational_map(rng, n, q, DIMS[n], density)
+            nonzero += not assert_equals_oracle(P, Q).is_zero()
+    assert nonzero >= 9
+
+
+def test_non_canonical_keys_are_ignored():
+    """Unsorted or repeated blocks, blocks of the wrong size or count, and
+    indices out of range are never read by `apply_map`; the sparse bracket
+    skips them too."""
+    rng = random.Random(5)
+    P = random_rational_map(rng, 3, 1, 4, 0.5)
+    Q = random_rational_map(rng, 3, 1, 4, 0.5)
+    one = (Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(0))
+    junk = {((1, 0), 2): one, ((2, 2), 3): one, ((1,), 0): one,
+            ((0, 1), (2, 3), 1): one, ((0, 5), 1): one, ((0, 1), 4): one}
+    P_junk = BlockMap(3, 1, P.source, P.target, {**P.table, **junk})
+    Q_junk = BlockMap(3, 1, Q.source, Q.target, {**Q.table, **junk})
+    br = assert_equals_oracle(P_junk, Q_junk)
+    assert br == graded_bracket(P, Q)
+    assert not br.is_zero()
+
+
+def test_lazy_inputs_equal_the_oracle():
+    rng = random.Random(6)
+    P, Q, R = (random_rational_map(rng, 2, b, 3, 0.6) for b in (1, 0, 1))
+    lazy = LazyMap(Q.n, Q.blocks, Q.source, Q.target, Q.value)
+    assert_equals_oracle(P, lazy)
+    assert_equals_oracle(lazy, R)
+    inner = oracle_graded_bracket(Q, R)
+    assert graded_bracket(P, inner) == \
+        materialize(oracle_graded_bracket(P, oracle_graded_bracket(Q, R)))
+
+
+def broken_action(rng: random.Random, rep: Representation) -> Representation:
+    """rep with ±1 added to one entry of one action matrix."""
+    blocks = list(itertools.combinations(range(rep.algebra.dim), rep.algebra.n - 1))
+    block = rng.choice(blocks)
+    dv = rep.dim_v
+    bump = Matrix([[rng.choice((-1, 1)) if (r, c) == (0, dv - 1) else 0
+                    for c in range(dv)] for r in range(dv)])
+    action = dict(rep.action)
+    action[block] = action[block] + bump if block in action else bump
+    return Representation(rep.algebra, rep.module, action)
+
+
+def broken_algebra(rng: random.Random, rep: Representation) -> Representation:
+    """rep over its algebra with ±1 added to one structure constant."""
+    alg = rep.algebra
+    key = rng.choice(list(itertools.combinations(range(alg.dim), alg.n)))
+    structure = dict(alg.structure)
+    val = list(structure.get(key, (Fraction(0),) * alg.dim))
+    val[rng.randrange(alg.dim)] += rng.choice((-1, 1))
+    structure[key] = tuple(val)
+    return Representation(NLieAlgebra(alg.n, alg.space, structure), rep.module, rep.action)
+
+
+def test_semidirect_brackets_equal_the_oracle(reps):
+    """[δ, δ] and [δ, h] for every catalog pair and a broken copy of each,
+    with check_mc_pair agreeing with the direct checkers throughout."""
+    rng = random.Random(9)
+    broken = 0
+    for rep in reps:
+        pairs = [rep]
+        if rep.dim_v:
+            pairs.append(broken_action(rng, rep))
+        if rep.algebra.dim >= rep.algebra.n:
+            pairs.append(broken_algebra(rng, rep))
+        for pair in pairs:
+            delta = semidirect_blockmap(pair)
+            direct = bool(check_filippov(pair.algebra)) and bool(check_representation(pair))
+            assert assert_equals_oracle(delta, delta).is_zero() == direct
+            assert check_mc_pair(pair.algebra, pair) == direct
+            broken += not direct
+            total = delta.source.dim
+            h = random_blockmap(rng, pair.algebra.n, 0, total, total,
+                                "g+V", "g+V", density=0.4)
+            assert_equals_oracle(delta, h)
+    assert broken >= 10
+
+
+def test_derived_brackets_equal_the_oracle(operator_corpus):
+    """The derived bracket of n copies of T, and of n − 1 copies with one
+    random operator cochain, on the corpus and its lifts by every admissible
+    covector."""
+    rng = random.Random(10)
+    ops = list(operator_corpus)
+    ops += [lift_operator(op, f) for op in operator_corpus
+            for f in admissible_covectors(op.algebra)]
+    nonzero = 0
+    for op in ops:
+        ctx = DerivedContext(op.rep)
+        tc = matrix_to_cochain(op.rep, op.matrix)
+        dv, dg = op.rep.dim_v, op.algebra.dim
+        c = random_blockmap(rng, ctx.n, 0, dv, dg, "V", "g", density=0.7)
+        for args in ([tc] * ctx.n, [tc] * (ctx.n - 1) + [c]):
+            br = derived_bracket(ctx, args)
+            assert br == oracle_derived_bracket(ctx, args), op
+            nonzero += not br.is_zero()
+        assert derived_bracket(ctx, [tc] * ctx.n).is_zero()
+    assert nonzero >= 5
