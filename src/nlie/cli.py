@@ -227,7 +227,6 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
         checks.append(_check_entry("lifted_rota_baxter",
                                    check_rb(lifted_t.rep, lifted_t.matrix)))
     x0 = prob.x0
-    degenerate_x0 = False
     if x0 is not None and t is not None:
         central = is_central(prob.rep, x0)
         checks.append(_bool_entry("x0_central", central))
@@ -259,18 +258,11 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
                          "detail": "needs T"}
                 checks.append(entry)
                 continue
-            use_x0 = x0
-            if use_x0 is None:
-                use_x0 = tuple(Fraction(0) for _ in range(prob.dim_g + prob.dim_v))
-                degenerate_x0 = True
-            ok = operator_chain_map_holds(t, prob.covector, use_x0, sym)
+            ok = operator_chain_map_holds(t, prob.covector, x0, sym)
             entry = _bool_entry(f"operator_chain_map[{i}]", ok)
         if note:
             entry["detail"] = note
         checks.append(entry)
-    if degenerate_x0:
-        report["x0_note"] = ("no x0 supplied: degree-0 lifting used x0 = 0, "
-                             "which collapses it to the zero map")
     raised = Problem(prob.n + 1, raised_alg, raised_rep)
     if prob.operator is not None:
         raised.operator = prob.operator

@@ -65,16 +65,16 @@ def blocks_of(dim: int, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.combinations(range(dim), size))
 
 
-def compositions(total: int, parts: int, low: int = 0, high: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """All tuples (i_1..i_parts) with sum = total and low <= i_k <= high."""
+def compositions(total: int, parts: int, high: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """All tuples (i_1..i_parts) with sum = total and 0 <= i_k <= high."""
     if high is None:
         high = total
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(low, min(high, total) + 1):
-        for rest in compositions(total - first, parts - 1, low, high):
+    for first in range(min(high, total) + 1):
+        for rest in compositions(total - first, parts - 1, high):
             yield (first,) + rest
 
 

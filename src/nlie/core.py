@@ -309,41 +309,6 @@ def pre_lie_from_table(n: int, dim: int,
     return NPreLie(n, space, bm)
 
 
-def check_n_pre_lie(p: NPreLie) -> CheckReport:
-    """Both defining identities; sorted tuples where both sides are
-    antisymmetric, full ranges for the remaining slots."""
-    n, d = p.n, p.dim
-    for xs in itertools.combinations(range(d), n - 1):
-        for ys_head in itertools.combinations(range(d), n - 1):
-            for yn in range(d):
-                ys = (*ys_head, yn)
-                lhs = p.prod([*xs, p.prod(list(ys))])
-                rhs = vzero(d)
-                for i in range(n - 1):
-                    args: list[Element] = list(ys)
-                    args[i] = p.commutator_bracket([*xs, ys[i]])
-                    rhs = vadd(rhs, p.prod(args))
-                rhs = vadd(rhs, p.prod([*ys[:-1], p.prod([*xs, ys[-1]])]))
-                if lhs != rhs:
-                    return CheckReport(False, witness=(xs, ys),
-                                       lhs=lhs, rhs=rhs, detail="first identity fails")
-    for ys in itertools.combinations(range(d), n):
-        for xs_head in itertools.combinations(range(d), n - 2):
-            for xlast in range(d):
-                xs = (*xs_head, xlast)
-                lhs = p.prod([p.commutator_bracket(list(ys)), *xs])
-                rhs = vzero(d)
-                for i in range(n):
-                    rest = ys[:i] + ys[i + 1:]
-                    inner = p.prod([ys[i], *xs])
-                    term = p.prod([*rest, inner])
-                    rhs = vadd(rhs, vscale(term, Fraction((-1) ** (n - 1 - i))))
-                if lhs != rhs:
-                    return CheckReport(False, witness=(ys, xs),
-                                       lhs=lhs, rhs=rhs, detail="second identity fails")
-    return CheckReport(True)
-
-
 def sub_adjacent(p: NPreLie) -> NLieAlgebra:
     structure = {}
     for key in itertools.combinations(range(p.dim), p.n):
@@ -363,6 +328,13 @@ def left_mult_rep(p: NPreLie) -> Representation:
         if not mat.is_zero():
             action[block] = mat
     return Representation(alg, p.space, action)
+
+
+def check_n_pre_lie(p: NPreLie) -> CheckReport:
+    """A product is n-pre-Lie iff its left multiplication is a representation
+    of its sub-adjacent algebra: the commutator identity and the bracket
+    compatibility of :func:`check_representation`, read on L."""
+    return check_representation(left_mult_rep(p))
 
 
 # ---------------------------------------------------------------------------
@@ -402,28 +374,6 @@ def check_symplectic(alg: NLieAlgebra, form: SymplecticForm) -> CheckReport:
     return CheckReport(True)
 
 
-def symplectic_to_pre_lie(alg: NLieAlgebra, form: SymplecticForm) -> NPreLie:
-    """The compatible product defined by pairing against bracket-with-tail."""
-    d, n = alg.dim, alg.n
-    wt = form.omega.transpose()
-    table = {}
-    for block in blocks_of(d, n - 1):
-        for t in range(d):
-            # omega(c, e_y) = -omega(e_t, [block..., e_y]) for all y
-            rhs = []
-            for y in range(d):
-                inner = alg.bracket([*block, y])
-                rhs.append(-form.pairing(basis_vec(d, t), inner))
-            c = solve_linear(wt, rhs)
-            if c is None:
-                raise ValueError("degenerate form")
-            if not viszero(c):
-                table[(block, t)] = c
-    space = alg.space
-    bm = BlockMap(n, 1, space, space, table)
-    return NPreLie(n, space, bm)
-
-
 def symplectic_operator(alg: NLieAlgebra, form: SymplecticForm) -> Matrix:
     """The invertible map g* -> g whose inverse sends x to omega(x, ·)."""
     inv = form.omega.transpose()
@@ -436,3 +386,21 @@ def symplectic_operator(alg: NLieAlgebra, form: SymplecticForm) -> Matrix:
             raise ValueError("degenerate form")
         cols.append(x)
     return Matrix.from_columns(cols)
+
+
+def symplectic_to_pre_lie(alg: NLieAlgebra, form: SymplecticForm) -> NPreLie:
+    """The compatible product x·y = T ad*(x_1..x_{n-1}) T⁻¹y on g.
+
+    T = :func:`symplectic_operator` is an operator on the coadjoint pair with
+    T⁻¹ = ωᵀ; this is its product ad*(Tα_1..Tα_{n-1})α_n on g*
+    (:func:`nlie.rota_baxter.pre_lie_of_operator`), carried to g by T.
+    """
+    t = symplectic_operator(alg, form)
+    inv = form.omega.transpose()
+    table = {}
+    for block, mat in coadjoint_rep(alg).action.items():
+        prod = t.matmul(mat).matmul(inv)
+        for tail in range(alg.dim):
+            table[(block, tail)] = prod.column(tail)
+    bm = BlockMap(alg.n, 1, alg.space, alg.space, table)
+    return NPreLie(alg.n, alg.space, bm)

@@ -57,15 +57,14 @@ class DeformationJet:
 
 
 def _coefficient_residual(jet_ops: list[Matrix], base: RBOperator, s: int,
-                          vs: tuple[int, ...], high: int) -> Vec:
-    """LHS − RHS of the order-s coefficient equation at a basis tuple."""
+                          vs: tuple[int, ...]) -> Vec:
+    """LHS − RHS of the order-s coefficient equation at a basis tuple, summed
+    over the compositions of s into coefficients the jet has."""
     rep = base.rep
     alg = rep.algebra
     n, dg = alg.n, alg.dim
     total = vzero(dg)
-    for comp in compositions(s, n, 0, high):
-        if any(i >= len(jet_ops) for i in comp):
-            continue
+    for comp in compositions(s, n, len(jet_ops) - 1):
         imgs = [jet_ops[comp[j]].column(vs[j]) for j in range(n)]
         total = vadd(total, alg.bracket(imgs))
         inner = vzero(rep.dim_v)
@@ -86,7 +85,7 @@ def check_order(jet: DeformationJet) -> CheckReport:
     ops = jet.operators()
     for s in range(jet.order + 1):
         for vs in itertools.combinations(range(dv), n):
-            res = _coefficient_residual(ops, base, s, vs, s)
+            res = _coefficient_residual(ops, base, s, vs)
             if not viszero(res):
                 return CheckReport(False, witness=(s, vs), lhs=res,
                                    detail=f"order-{s} coefficient equation fails")
@@ -135,7 +134,7 @@ def obstruction(jet: DeformationJet) -> ObstructionClass:
     table = {}
     for key in iter_keys(dv, n - 1, 1):
         vs = key[0] + (key[-1],)
-        val = _coefficient_residual(ops, base, m + 1, vs, m)
+        val = _coefficient_residual(ops, base, m + 1, vs)
         if not viszero(val):
             table[key] = val
     theta = BlockMap(n, 1, src, tgt, table)
@@ -151,7 +150,7 @@ def obstruction_via_derived(jet: DeformationJet) -> BlockMap:
     ops = jet.operators()
     m = jet.order
     total: Optional[BlockMap] = None
-    for comp in compositions(m + 1, n, 0, m):
+    for comp in compositions(m + 1, n, m):
         cochains = [matrix_to_cochain(base.rep, ops[i]) for i in comp]
         term = derived_bracket(ctx, cochains)
         total = term if total is None else total.add(term)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .combinat import sort_with_sign
 from .core import (NLieAlgebra, Representation, semidirect_bracket)
@@ -97,12 +97,13 @@ def induced_covector(t: RBOperator, f: Sequence) -> Vec:
 def lift_cochain(p: BlockMap, f: Sequence) -> BlockMap:
     """Raise a cochain one arity: interior products by the covector.
 
-    Degree-1 cochains (no blocks) pass through unchanged; higher degrees
-    get one covector factor per block, plus the tail-swap group.  The
-    chain-map identity with the raised differential holds on cochains
-    antisymmetric between the last block and the tail (the wedge-tail
-    subspace; see multilinear.tail_antisymmetrize) — the tail-swap group
-    reads the last block together with the tail as one wedge.
+    Degree-1 cochains (no blocks) pass through unchanged.  Above that, the
+    last block and the tail are read as one (n+1)-wedge, and the covector
+    drops one element from every block and from that wedge, with the sign
+    of the dropped positions; what is left of the wedge splits into the
+    last block and the tail.  The chain-map identity with the raised
+    differential holds on cochains antisymmetric between the last block and
+    the tail (the wedge-tail subspace; see multilinear.tail_antisymmetrize).
     """
     fv = vector(f)
     n = p.n
@@ -112,34 +113,18 @@ def lift_cochain(p: BlockMap, f: Sequence) -> BlockMap:
     d = p.source.dim
     table = {}
     for key in iter_keys(d, n, b):
-        Y = key[:-1]
-        t = key[-1]
+        wedges = key[:-2] + (key[-2] + (key[-1],),)
         total = vzero(p.target.dim)
-        # one element dropped from every block
-        for picks in itertools.product(range(n), repeat=b):
+        for picks in itertools.product(*(range(len(w)) for w in wedges)):
             coeff = Fraction((-1) ** sum(picks))
-            for j in range(b):
-                coeff *= fv[Y[j][picks[j]]]
+            for w, i in zip(wedges, picks):
+                coeff *= fv[w[i]]
                 if coeff == 0:
                     break
             if coeff == 0:
                 continue
-            blocks = [Y[j][:picks[j]] + Y[j][picks[j] + 1:] for j in range(b)]
-            total = vadd(total, vscale(p.value(tuple(blocks) + (t,)), coeff))
-        # covector paired with the tail, last block split into block+tail
-        if fv[t] != 0:
-            last = Y[b - 1]
-            for picks in itertools.product(range(n), repeat=b - 1):
-                coeff = Fraction((-1) ** (sum(picks) + n)) * fv[t]
-                for j in range(b - 1):
-                    coeff *= fv[Y[j][picks[j]]]
-                    if coeff == 0:
-                        break
-                if coeff == 0:
-                    continue
-                blocks = [Y[j][:picks[j]] + Y[j][picks[j] + 1:] for j in range(b - 1)]
-                blocks.append(last[:n - 1])
-                total = vadd(total, vscale(p.value(tuple(blocks) + (last[n - 1],)), coeff))
+            *blocks, last = (w[:i] + w[i + 1:] for w, i in zip(wedges, picks))
+            total = vadd(total, vscale(p.value((*blocks, last[:-1], last[-1])), coeff))
         if not viszero(total):
             table[key] = total
     return BlockMap(n + 1, b, p.source, p.target, table)
@@ -176,12 +161,13 @@ def is_central(rep: Representation, x0: Sequence) -> bool:
 
 
 def lift_operator_cochain(c: Union[Wedge, BlockMap], t: RBOperator,
-                          f: Sequence, x0: Sequence) -> Union[Wedge, BlockMap]:
+                          f: Sequence, x0: Optional[Sequence]) -> Union[Wedge, BlockMap]:
     """Raise an operator cochain: wedge with the central element at degree 0,
-    identity at degree 1, covector-weighted interior products above."""
-    if not is_central(t.rep, x0):
-        raise ValueError("x0 is not central in the semidirect product")
+    identity at degree 1, covector-weighted interior products above.  Only
+    the degree-0 rule reads x0."""
     if isinstance(c, Wedge):
+        if x0 is None or not is_central(t.rep, x0):
+            raise ValueError("x0 is not central in the semidirect product")
         dg = t.algebra.dim
         xi = vector(x0)[:dg]
         n = t.algebra.n
@@ -211,7 +197,7 @@ def pair_chain_map_holds(rep: Representation, f: Sequence, p: BlockMap) -> bool:
     return lhs == rhs
 
 
-def operator_chain_map_holds(t: RBOperator, f: Sequence, x0: Sequence,
+def operator_chain_map_holds(t: RBOperator, f: Sequence, x0: Optional[Sequence],
                              c: Union[Wedge, BlockMap]) -> bool:
     """Same commuting square for operator cochains, degree 0 included."""
     lifted = lift_operator(t, f)

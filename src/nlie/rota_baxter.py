@@ -1,10 +1,11 @@
 """Relative Rota-Baxter operators, derived brackets, operator cohomology.
 
 T: V -> g is an operator iff its graph {(Tu, u)} is a subalgebra of g ⋉ V.
-Every induced structure is read off the semidirect bracket on graph vectors:
-the identity compares its g-part with T of its V-part, the bracket on V is
-its V-part, and ρ_T is its twist x − Tu with (x, 0) in the last slot, built
-once per :class:`RBOperator`.
+The identity compares the g-part of the semidirect bracket of graph vectors
+with T of its V-part, and ρ_T is its twist x − Tu with (x, 0) in the last
+slot, built once per :class:`RBOperator`.  The bracket on V is the
+sub-adjacent bracket of the operator's n-pre-Lie product
+ρ(Tu_1, …, Tu_{n−1})u_n.
 
 An operator cochain of degree m >= 1 is a BlockMap with m-1 blocks over the
 module V valued in g; degree 0 is a :class:`Wedge`, an element of
@@ -22,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 from .combinat import blocks_of
 from .core import (CheckReport, NLieAlgebra, NPreLie, Representation,
-                   semidirect_bracket, semidirect_blockmap)
+                   semidirect_bracket, semidirect_blockmap, sub_adjacent)
 from .linalg import Matrix, Vec, basis_vec, vadd, viszero, vscale, vsub, vzero
 from .multilinear import (BlockMap, Element, SpaceSpec, iter_keys,
                           lift_operator_map, project_operator_part)
@@ -196,19 +197,6 @@ def twisted_mc_holds(ctx: DerivedContext, t: RBOperator, tprime: Matrix) -> bool
 # structures induced by a (validated) operator
 # ---------------------------------------------------------------------------
 
-def induced_bracket(t: RBOperator) -> NLieAlgebra:
-    """The bracket on V: the V-part of the semidirect bracket of graph vectors."""
-    rep = t.rep
-    n, dg, dv = rep.n, rep.algebra.dim, rep.dim_v
-    space = SpaceSpec(dv, "V")
-    structure = {}
-    for key in itertools.combinations(range(dv), n):
-        val = semidirect_bracket(rep, [t.graph(v) for v in key])[dg:]
-        if not viszero(val):
-            structure[key] = val
-    return NLieAlgebra(n, space, structure)
-
-
 def pre_lie_of_operator(t: RBOperator) -> NPreLie:
     """The splitting product on V: act by the operator images, last slot free."""
     rep = t.rep
@@ -222,6 +210,11 @@ def pre_lie_of_operator(t: RBOperator) -> NPreLie:
             if not viszero(val):
                 table[(block, tail)] = val
     return NPreLie(n, space, BlockMap(n, 1, space, space, table))
+
+
+def induced_bracket(t: RBOperator) -> NLieAlgebra:
+    """The bracket on V: the sub-adjacent bracket of the operator's product."""
+    return sub_adjacent(pre_lie_of_operator(t))
 
 
 def operator_rep(t: RBOperator) -> Representation:

@@ -1,8 +1,9 @@
 """Fuzzing the exit-code contract of `nlie` over its arguments: any mix of
 command, `--target`, `--action`, `--max-m` and problem file ends in exit 0
 (checks pass), 1 (a check failed) or 2 (input or usage error), never in a
-traceback.  `--max-m` reaches degrees the size guard refuses (d_6 of the
-valid file's pair complex has 6.4M entries).  Everything runs in-process."""
+traceback.  The corpus reaches cochains and a non-central `x0`, and
+`--max-m` reaches degrees the size guard refuses (d_6 of the valid file's
+pair complex has 6.4M entries).  Everything runs in-process."""
 import contextlib
 import io
 import json
@@ -26,6 +27,26 @@ ONE_BLOCK = {
     "x0": ["0", "0", "1", "0", "0"],
 }
 
+# the adjoint pair of heis3 with T = 0 and a non-central x0 = e_1 ⊕ 0; no
+# file cochain has degree 0, so lifting them never reads x0
+HEIS3_NON_CENTRAL_X0 = {
+    "schema_version": "1",
+    "n": 2,
+    "g": {"dim": 3, "bracket": [{"args": [1, 2], "value": {"3": "1"}}]},
+    "V": {"dim": 3},
+    "rho": [{"block": [1], "matrix": [["0", "0", "0"], ["0", "0", "0"], ["0", "1", "0"]]},
+            {"block": [2], "matrix": [["0", "0", "0"], ["0", "0", "0"], ["-1", "0", "0"]]}],
+    "T": [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+    "f": ["1", "0", "0"],
+    "x0": ["1", "0", "0", "0", "0", "0"],
+    "cochains": [
+        {"space": "pair", "degree": 2,
+         "entries": [{"blocks": [[1]], "tail": 2, "value": {"3": "1"}}]},
+        {"space": "operator", "degree": 2,
+         "entries": [{"blocks": [[1]], "tail": 2, "value": {"1": "1"}}]},
+    ],
+}
+
 CORPUS = {
     "valid": json.dumps(ONE_BLOCK),
     # a second action block that breaks the representation identity (exit 1)
@@ -35,6 +56,7 @@ CORPUS = {
                                "g": {"dim": 2, "bracket": []}, "V": {"dim": 0},
                                "T": [[], []], "deformation": [[[], []]]}),
     "malformed": '{"n": 3, "g": ',
+    "non-central-x0": json.dumps(HEIS3_NON_CENTRAL_X0),
 }
 
 
@@ -70,6 +92,8 @@ def test_broken_file_fails_a_check(corpus):
        max_m=st.none() | st.integers(-1, 8),
        as_json=st.booleans())
 @example(command="deform", name="zero-module", target=None, action="extend",
+         max_m=None, as_json=True)
+@example(command="lift", name="non-central-x0", target=None, action=None,
          max_m=None, as_json=True)
 def test_every_argv_exits_0_1_or_2(corpus, command, name, target, action, max_m, as_json):
     argv = [command, str(corpus[name])]

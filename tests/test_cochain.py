@@ -51,7 +51,10 @@ def test_d_squared_zero_on_corpus(reps):
         assert coboundary(rep, coboundary(rep, g)).is_zero()
 
 
-def test_adjoint_coboundary_is_signed_bracket(algebras):
+def test_adjoint_coboundary_is_signed_bracket(algebras, reps):
+    """d_ρ f = (−1)^b·[μ̂ + ρ̂, f̂] restricted to g -> V, the identity of the
+    differential graded Lie algebra behind the pair differential.  It uses
+    no axiom of the pair, so it holds on a broken pair as well."""
     rng = random.Random(3)
     alg = algebras["nilp4"]
     ad = adjoint_rep(alg)
@@ -61,6 +64,18 @@ def test_adjoint_coboundary_is_signed_bracket(algebras):
         lhs = coboundary(ad, f)
         rhs = materialize(graded_bracket(mu, f)).scale(Fraction((-1) ** blocks))
         assert lhs == rhs
+    broken = Representation(abelian(3, 3), SpaceSpec(2, "V"), {
+        (0, 1): M([[0, 1], [0, 0]]), (0, 2): M([[0, 0], [1, 0]])})
+    assert not check_representation(broken)
+    for rep in [*reps, broken]:
+        n, dg, dv = rep.n, rep.algebra.dim, rep.dim_v
+        delta = semidirect_blockmap(rep)
+        space = sum_space(dg, dv)
+        for blocks in ((0, 1, 2) if dg <= 3 else (0, 1)):
+            f = random_blockmap(rng, n, blocks, dg, dv)
+            br = graded_bracket(delta, lift_map(f, space, "g", "V"))
+            rhs = restrict_map(br, "g", "V").scale(Fraction((-1) ** blocks))
+            assert coboundary(rep, f) == rhs
 
 
 def test_bracket_with_zero():

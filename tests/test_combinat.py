@@ -70,13 +70,13 @@ def test_blocks_of():
 
 
 def test_compositions_exact():
-    got = set(compositions(2, 3, 0, 2))
+    got = set(compositions(2, 3, 2))
     assert got == {(2, 0, 0), (0, 2, 0), (0, 0, 2),
                    (1, 1, 0), (1, 0, 1), (0, 1, 1)}
 
 
 def test_compositions_bounded():
-    got = set(compositions(2, 2, 0, 1))
+    got = set(compositions(2, 2, 1))
     assert got == {(1, 1)}
 
 
