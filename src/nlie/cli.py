@@ -18,9 +18,8 @@ from .core import (CheckReport, SymplecticForm, check_filippov,
                    check_representation, check_symplectic)
 from .deformation import DeformationJet, extend, find_equivalence, obstruction
 from .io import Problem, ProblemFileError, emit_problem, load_problem
-from .lift import (is_admissible, is_central, lift_operator,
-                   operator_chain_map_holds, pair_chain_map_holds,
-                   raise_arity, raise_arity_rep)
+from .lift import (is_admissible, is_central, operator_chain_map_holds,
+                   pair_chain_map_holds, raise_arity_rep)
 from .multilinear import tail_antisymmetrize
 from .rota_baxter import (RBOperator, Wedge, check_rb, rb_coboundary_matrix,
                           wedge_basis)
@@ -103,7 +102,8 @@ def cmd_verify(prob: Problem) -> dict:
 
 
 # The largest differential `cohomology` builds unless --no-size-limit is
-# given, in matrix entries (rows × cols).  The dense matrix costs about 24
+# given, in matrix entries (rows × cols); `lift` refuses a file cochain whose
+# differential at arity n or n+1 is larger.  The dense matrix costs about 24
 # bytes per entry: cross4's d_3 (3456 × 576, 2.0M entries) builds and ranks
 # in 1.4 s with a 76 MB peak, and cross4's d_4 (20736 × 3456, 71.7M entries)
 # would need about 1.7 GB.
@@ -134,16 +134,19 @@ def oversized_differential(prob: Problem, max_m: int, target: str,
     return None
 
 
+def _size_message(big: tuple[int, int, int], limit: int) -> str:
+    m, rows, cols = big
+    return (f"d_{m} would be a {rows} x {cols} matrix ({rows * cols} entries), "
+            f"over the limit of {limit}")
+
+
 def cmd_cohomology(prob: Problem, max_m: int, target: str,
                    limit: Optional[int] = MAX_DIFFERENTIAL_ENTRIES) -> dict:
     """The cohomology table up to degree max_m; refused as an input error
     when a differential has more than `limit` entries (None: no limit)."""
     big = None if limit is None else oversized_differential(prob, max_m, target, limit)
     if big is not None:
-        m, rows, cols = big
-        raise ProblemFileError(
-            f"d_{m} would be a {rows} x {cols} matrix ({rows * cols} entries), "
-            f"over the limit of {limit}; pass --no-size-limit to build it")
+        raise ProblemFileError(_size_message(big, limit) + "; pass --no-size-limit to build it")
     checks: list[dict] = []
     if target == "pair":
         table = cohomology_table(lambda m: coboundary_matrix(prob.rep, m), 1, max_m)
@@ -215,17 +218,24 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
         if bad is not None:
             checks[-1]["witness"] = _fmt_witness(bad)
         return report
-    raised_alg = raise_arity(prob.algebra, prob.covector)
     raised_rep = raise_arity_rep(prob.rep, prob.covector)
+    raised_alg = raised_rep.algebra
+    raised = Problem(prob.n + 1, raised_alg, raised_rep, operator=prob.operator)
+    if is_admissible(raised_alg, prob.covector):
+        raised.covector = prob.covector
+    for i, (space, bm) in enumerate(prob.cochains):
+        m = bm.blocks + 1
+        for p in (prob, raised):
+            big = oversized_differential(p, m, space, MAX_DIFFERENTIAL_ENTRIES)
+            if big is not None:
+                raise ProblemFileError(f"cochains[{i}] ({space}, degree {m}) at arity {p.n}: "
+                                       + _size_message(big, MAX_DIFFERENTIAL_ENTRIES))
     checks.append(_check_entry("raised_filippov", check_filippov(raised_alg)))
     checks.append(_check_entry("raised_representation", check_representation(raised_rep)))
     t = prob.rb_operator()
-    lifted_t = None
     if t is not None:
         checks.append(_check_entry("rota_baxter", check_rb(prob.rep, prob.operator)))
-        lifted_t = lift_operator(t, prob.covector)
-        checks.append(_check_entry("lifted_rota_baxter",
-                                   check_rb(lifted_t.rep, lifted_t.matrix)))
+        checks.append(_check_entry("lifted_rota_baxter", check_rb(raised_rep, prob.operator)))
     x0 = prob.x0
     if x0 is not None and t is not None:
         central = is_central(prob.rep, x0)
@@ -263,11 +273,6 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
         if note:
             entry["detail"] = note
         checks.append(entry)
-    raised = Problem(prob.n + 1, raised_alg, raised_rep)
-    if prob.operator is not None:
-        raised.operator = prob.operator
-    if is_admissible(raised_alg, prob.covector):
-        raised.covector = prob.covector
     emitted = emit_problem(raised)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -2,8 +2,9 @@
 
 Constructors accept raw data; nothing is trusted until the matching checker
 has run, so broken structures are first-class values (the tests need them).
-Check reports carry the first violating basis tuple together with both
-sides of the failed identity.
+Check reports carry the first violating basis tuple; `check_filippov` adds
+both sides of the failed identity.  A representation is checked as the
+fundamental identity of g ⋉ V, and its report names only the g-tuples.
 """
 from __future__ import annotations
 
@@ -98,18 +99,24 @@ def abelian(n: int, dim: int) -> NLieAlgebra:
     return NLieAlgebra(n, SpaceSpec(dim, "g"))
 
 
+def _fundamental_sides(alg: NLieAlgebra, xs: tuple[int, ...],
+                       ys: tuple[int, ...]) -> tuple[Vec, Vec]:
+    """Both sides of [xs, [ys]] = Σᵢ [y₁..[xs, yᵢ]..yₙ] on basis tuples."""
+    lhs = alg.bracket([*xs, alg.bracket(list(ys))])
+    rhs = vzero(alg.dim)
+    for i in range(alg.n):
+        args: list[Element] = list(ys)
+        args[i] = alg.bracket([*xs, ys[i]])
+        rhs = vadd(rhs, alg.bracket(args))
+    return lhs, rhs
+
+
 def check_filippov(alg: NLieAlgebra) -> CheckReport:
     """Exhaustive fundamental identity check over basis tuples."""
     n, d = alg.n, alg.dim
     for xs in itertools.combinations(range(d), n - 1):
         for ys in itertools.combinations(range(d), n):
-            lhs = alg.bracket([*xs, alg.bracket(list(ys))])
-            rhs = vzero(d)
-            for i in range(n):
-                inner = alg.bracket([*xs, ys[i]])
-                args: list[Element] = list(ys)
-                args[i] = inner
-                rhs = vadd(rhs, alg.bracket(args))
+            lhs, rhs = _fundamental_sides(alg, xs, ys)
             if lhs != rhs:
                 return CheckReport(False, witness=(xs, ys), lhs=lhs, rhs=rhs,
                                    detail="fundamental identity fails")
@@ -179,40 +186,6 @@ def zero_representation(alg: NLieAlgebra, dim_v: int) -> Representation:
     return Representation(alg, SpaceSpec(dim_v, "V"))
 
 
-def check_representation(rep: Representation) -> CheckReport:
-    """Both representation identities, exhaustively on basis tuples."""
-    alg = rep.algebra
-    n, d = alg.n, alg.dim
-    # commutator identity: [rho(X), rho(Y)] = rho(X o Y)
-    for xs in itertools.combinations(range(d), n - 1):
-        rx = rep.operator(list(xs))
-        for ys in itertools.combinations(range(d), n - 1):
-            ry = rep.operator(list(ys))
-            lhs = rx.commutator(ry)
-            rhs = Matrix.zero(rep.dim_v, rep.dim_v)
-            for i in range(n - 1):
-                args: list[Element] = list(ys)
-                args[i] = alg.bracket([*xs, ys[i]])
-                rhs = rhs + rep.operator(args)
-            if lhs != rhs:
-                return CheckReport(False, witness=(xs, ys),
-                                   detail="commutator identity fails")
-    # derivation-style identity against the bracket
-    for xs in itertools.combinations(range(d), n - 2):
-        for ys in itertools.combinations(range(d), n):
-            lhs_m = rep.operator([*xs, alg.bracket(list(ys))])
-            rhs_m = Matrix.zero(rep.dim_v, rep.dim_v)
-            for i in range(n):
-                rest = ys[:i] + ys[i + 1:]
-                sign = Fraction((-1) ** (n - 1 - i))
-                rhs_m = rhs_m + rep.operator(list(rest)).matmul(
-                    rep.operator([*xs, ys[i]])).scale(sign)
-            if lhs_m != rhs_m:
-                return CheckReport(False, witness=(xs, ys),
-                                   detail="bracket compatibility fails")
-    return CheckReport(True)
-
-
 def adjoint_rep(alg: NLieAlgebra) -> Representation:
     action = {}
     for block in blocks_of(alg.dim, alg.n - 1):
@@ -257,6 +230,29 @@ def semidirect_product(rep: Representation) -> NLieAlgebra:
         if not viszero(v):
             structure[key] = v
     return NLieAlgebra(n, space, structure)
+
+
+def check_representation(rep: Representation) -> CheckReport:
+    """ρ is a representation iff g ⋉ V satisfies the fundamental identity.
+
+    V is an abelian ideal, so both sides vanish on basis tuples with two or
+    more V indices; with one, u, they are the two representation identities
+    read on u: (xs, ys + (u,)) gives [ρ(xs), ρ(ys)] = Σᵢ ρ(y₁..[xs, yᵢ]..yₙ₋₁)
+    and (xs + (u,), ys) the compatibility of ρ with the bracket.  With u
+    innermost the witness is the first failing pair of g-tuples (xs, ys).
+    """
+    sd = semidirect_product(rep)
+    n, d = rep.n, rep.algebra.dim
+    for detail, nx, ny in (("commutator identity fails", n - 1, n - 1),
+                           ("bracket compatibility fails", n - 2, n)):
+        for xs in itertools.combinations(range(d), nx):
+            for ys in itertools.combinations(range(d), ny):
+                for u in range(d, sd.dim):
+                    pair = (xs, ys + (u,)) if ny < n else (xs + (u,), ys)
+                    lhs, rhs = _fundamental_sides(sd, *pair)
+                    if lhs != rhs:
+                        return CheckReport(False, witness=(xs, ys), detail=detail)
+    return CheckReport(True)
 
 
 def semidirect_blockmap(rep: Representation) -> BlockMap:

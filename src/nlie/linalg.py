@@ -143,9 +143,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
-    def commutator(self, other: "Matrix") -> "Matrix":
-        return self.matmul(other) - other.matmul(self)
-
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     """`row` divided by the gcd of its entries; an empty row stays empty."""

@@ -7,6 +7,7 @@ the checkers before tests get to use it.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -79,6 +80,29 @@ def koszul_sign(perm: tuple[int, ...], degrees: list[int]) -> int:
             if perm[a] > perm[b] and degrees[perm[a]] % 2 and degrees[perm[b]] % 2:
                 sign = -sign
     return sign
+
+
+def broken_action(rng: random.Random, rep: Representation) -> Representation:
+    """rep with ±1 added to one entry of one action matrix."""
+    blocks = list(itertools.combinations(range(rep.algebra.dim), rep.algebra.n - 1))
+    block = rng.choice(blocks)
+    dv = rep.dim_v
+    bump = Matrix([[rng.choice((-1, 1)) if (r, c) == (0, dv - 1) else 0
+                    for c in range(dv)] for r in range(dv)])
+    action = dict(rep.action)
+    action[block] = action[block] + bump if block in action else bump
+    return Representation(rep.algebra, rep.module, action)
+
+
+def broken_algebra(rng: random.Random, rep: Representation) -> Representation:
+    """rep over its algebra with ±1 added to one structure constant."""
+    alg = rep.algebra
+    key = rng.choice(list(itertools.combinations(range(alg.dim), alg.n)))
+    structure = dict(alg.structure)
+    val = list(structure.get(key, (Fraction(0),) * alg.dim))
+    val[rng.randrange(alg.dim)] += rng.choice((-1, 1))
+    structure[key] = tuple(val)
+    return Representation(NLieAlgebra(alg.n, alg.space, structure), rep.module, rep.action)
 
 
 def _verified(alg: NLieAlgebra) -> NLieAlgebra:

@@ -1,9 +1,10 @@
 """Fuzzing the exit-code contract of `nlie` over its arguments: any mix of
 command, `--target`, `--action`, `--max-m` and problem file ends in exit 0
 (checks pass), 1 (a check failed) or 2 (input or usage error), never in a
-traceback.  The corpus reaches cochains and a non-central `x0`, and
-`--max-m` reaches degrees the size guard refuses (d_6 of the valid file's
-pair complex has 6.4M entries).  Everything runs in-process."""
+traceback.  The corpus reaches cochains, a non-central `x0` and a cochain
+too deep to lift, and `--max-m` reaches degrees the size guard refuses (d_6
+of the valid file's pair complex has 6.4M entries).  Everything runs
+in-process."""
 import contextlib
 import io
 import json
@@ -57,6 +58,11 @@ CORPUS = {
                                "T": [[], []], "deformation": [[[], []]]}),
     "malformed": '{"n": 3, "g": ',
     "non-central-x0": json.dumps(HEIS3_NON_CENTRAL_X0),
+    # the heis3 pair and f with an empty degree-12 pair cochain, whose
+    # differentials `lift` refuses (exit 2) instead of building
+    "deep-cochain": json.dumps({
+        **{k: v for k, v in HEIS3_NON_CENTRAL_X0.items() if k not in ("T", "x0")},
+        "cochains": [{"space": "pair", "degree": 12, "entries": []}]}),
 }
 
 
@@ -94,6 +100,8 @@ def test_broken_file_fails_a_check(corpus):
 @example(command="deform", name="zero-module", target=None, action="extend",
          max_m=None, as_json=True)
 @example(command="lift", name="non-central-x0", target=None, action=None,
+         max_m=None, as_json=True)
+@example(command="lift", name="deep-cochain", target=None, action=None,
          max_m=None, as_json=True)
 def test_every_argv_exits_0_1_or_2(corpus, command, name, target, action, max_m, as_json):
     argv = [command, str(corpus[name])]

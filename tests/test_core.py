@@ -2,7 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from conftest import random_matrix
+from conftest import broken_action, broken_algebra, random_matrix
 
 from nlie import (Matrix, NLieAlgebra, Representation, SpaceSpec,
                   SymplecticForm, abelian, adjoint_rep, check_filippov,
@@ -100,10 +100,21 @@ def test_random_action_on_nonabelian_fails(algebras):
 
 
 def test_semidirect_product_passes(algebras):
-    for name in ("solv2", "nilp4"):
-        rep = adjoint_rep(algebras[name])
-        sd = semidirect_product(rep)
-        assert check_filippov(sd)
+    """g ⋉ V is an n-Lie algebra iff g is one and ρ represents it: on the
+    catalog adjoints and on a broken-action and a broken-bracket copy of each."""
+    rng = random.Random(5)
+    broken = 0
+    for alg in algebras.values():
+        rep = adjoint_rep(alg)
+        assert check_filippov(semidirect_product(rep))
+        pairs = [broken_action(rng, rep)]
+        if alg.dim >= alg.n:
+            pairs.append(broken_algebra(rng, rep))
+        for pair in pairs:
+            direct = bool(check_filippov(pair.algebra)) and bool(check_representation(pair))
+            assert bool(check_filippov(semidirect_product(pair))) == direct
+            broken += not direct
+    assert broken >= 5
 
 
 def test_semidirect_two_module_slots_vanish(algebras):

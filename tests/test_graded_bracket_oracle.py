@@ -11,10 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_blockmap
+from conftest import broken_action, broken_algebra, random_blockmap
 
-from nlie import (BlockMap, LazyMap, Matrix, NLieAlgebra, Representation,
-                  check_filippov, check_representation)
+from nlie import BlockMap, LazyMap, check_filippov, check_representation
 from nlie.cochain import check_mc_pair, graded_bracket
 from nlie.combinat import shuffles
 from nlie.core import semidirect_blockmap
@@ -141,29 +140,6 @@ def test_lazy_inputs_equal_the_oracle():
     inner = oracle_graded_bracket(Q, R)
     assert graded_bracket(P, inner) == \
         materialize(oracle_graded_bracket(P, oracle_graded_bracket(Q, R)))
-
-
-def broken_action(rng: random.Random, rep: Representation) -> Representation:
-    """rep with ±1 added to one entry of one action matrix."""
-    blocks = list(itertools.combinations(range(rep.algebra.dim), rep.algebra.n - 1))
-    block = rng.choice(blocks)
-    dv = rep.dim_v
-    bump = Matrix([[rng.choice((-1, 1)) if (r, c) == (0, dv - 1) else 0
-                    for c in range(dv)] for r in range(dv)])
-    action = dict(rep.action)
-    action[block] = action[block] + bump if block in action else bump
-    return Representation(rep.algebra, rep.module, action)
-
-
-def broken_algebra(rng: random.Random, rep: Representation) -> Representation:
-    """rep over its algebra with ±1 added to one structure constant."""
-    alg = rep.algebra
-    key = rng.choice(list(itertools.combinations(range(alg.dim), alg.n)))
-    structure = dict(alg.structure)
-    val = list(structure.get(key, (Fraction(0),) * alg.dim))
-    val[rng.randrange(alg.dim)] += rng.choice((-1, 1))
-    structure[key] = tuple(val)
-    return Representation(NLieAlgebra(alg.n, alg.space, structure), rep.module, rep.action)
 
 
 def test_semidirect_brackets_equal_the_oracle(reps):

@@ -389,6 +389,30 @@ def test_size_guard_closed_form():
         assert oversized_differential(prob, 10 ** 9, "operator", limit) is None
 
 
+def heis3_deep_cochain_file(degree: int) -> dict:
+    """The adjoint pair of heis3 with f = e^1 and one empty pair cochain:
+    |C^m| = 3^(m+1) at arity 2 and at the raised arity 3."""
+    return {"schema_version": "1", "n": 2,
+            "g": {"dim": 3, "bracket": [{"args": [1, 2], "value": {"3": "1"}}]},
+            "V": {"dim": 3},
+            "rho": [{"block": [1], "matrix": [["0", "0", "0"], ["0", "0", "0"], ["0", "1", "0"]]},
+                    {"block": [2], "matrix": [["0", "0", "0"], ["0", "0", "0"], ["-1", "0", "0"]]}],
+            "f": ["1", "0", "0"],
+            "cochains": [{"space": "pair", "degree": degree, "entries": []}]}
+
+
+def test_lift_refuses_a_cochain_with_an_oversized_differential(tmp_path, capsys):
+    """d_6 (6561 x 2187) is over the limit, so a degree-8 cochain is refused
+    before any chain-map work; degree 5 (d_5: 2187 x 729) still lifts."""
+    path = write(tmp_path, "deep8.json", heis3_deep_cochain_file(8))
+    assert main(["lift", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("cochains[0] (pair, degree 8) at arity 2: d_6 would be a 6561 x 2187 matrix "
+            "(14348907 entries), over the limit of 4000000") in captured.err
+    assert main(["lift", write(tmp_path, "deep5.json", heis3_deep_cochain_file(5)), "--json"]) == 0
+
+
 def test_cli_machine_output_deterministic(tmp_path, capsys):
     path = write(tmp_path, "p.json", ONE_BLOCK_FILE)
     main(["cohomology", path, "--max-m", "2", "--target", "operator", "--json"])

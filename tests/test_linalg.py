@@ -158,12 +158,6 @@ def test_rank_transpose_invariant():
     assert rank(m) == rank(m.transpose())
 
 
-def test_matrix_commutator():
-    a = Matrix([[0, 1], [0, 0]])
-    b = Matrix([[0, 0], [1, 0]])
-    assert a.commutator(b) == Matrix([[1, 0], [0, -1]])
-
-
 def test_basis_vec():
     assert basis_vec(3, 1) == vector([0, 1, 0])
 
