@@ -103,10 +103,10 @@ def cmd_verify(prob: Problem) -> dict:
 
 # The largest differential `cohomology` builds unless --no-size-limit is
 # given, in matrix entries (rows × cols); `lift` refuses a file cochain whose
-# differential at arity n or n+1 is larger.  The dense matrix costs about 24
-# bytes per entry: cross4's d_3 (3456 × 576, 2.0M entries) builds and ranks
-# in 1.4 s with a 76 MB peak, and cross4's d_4 (20736 × 3456, 71.7M entries)
-# would need about 1.7 GB.
+# differential at arity n or n+1 is larger.  The dense matrix costs about 11
+# bytes per entry: cross4's d_3 (3456 × 576, 2.0M entries) builds in 0.24–0.33 s
+# and ranks in 0.31–0.43 s, taking the process from 16.4 to a 36.9 MB peak, and
+# cross4's d_4 (20736 × 3456, 71.7M entries) would need about 0.75 GB.
 MAX_DIFFERENTIAL_ENTRIES = 4_000_000
 
 
@@ -117,25 +117,30 @@ def oversized_differential(prob: Problem, max_m: int, target: str,
 
     |C^m| = C(d, n−1)^(m−1)·d·dim M for the algebra of dimension d acting on
     the module M: g on V for the pair, V on g for the operator, whose degree
-    0 is ∧^{n−1}g.  Nothing is built.
+    0 is ∧^{n−1}g.  A zero module still has C(d, n−1)^(m−1)·d cochain keys,
+    which every cochain walk visits, so it counts one coordinate per key.
+    Nothing is built.
     """
     n, dg, dv = prob.n, prob.dim_g, prob.dim_v
     d, module, first = (dg, dv, 1) if target == "pair" else (dv, dg, 0)
     c = comb(d, n - 1)
 
     def dim(m: int) -> int:
-        return comb(dg, n - 1) if m == 0 else c ** (m - 1) * d * module
+        return comb(dg, n - 1) if m == 0 else c ** (m - 1) * d * max(module, 1)
 
     for m in range(first, max_m + 1):
         if dim(m + 1) * dim(m) > limit:
             return m, dim(m + 1), dim(m)
-        if m >= 1 and (c <= 1 or d * module == 0):
+        if m >= 1 and (c <= 1 or d == 0):
             return None  # |C^m| stops growing, so no later d_m is larger
     return None
 
 
-def _size_message(big: tuple[int, int, int], limit: int) -> str:
+def _size_message(prob: Problem, target: str, big: tuple[int, int, int], limit: int) -> str:
     m, rows, cols = big
+    if (prob.dim_v if target == "pair" else prob.dim_g) == 0:
+        return (f"d_{m} is zero but would walk {rows} x {cols} cochain keys "
+                f"({rows * cols} pairs), over the limit of {limit}")
     return (f"d_{m} would be a {rows} x {cols} matrix ({rows * cols} entries), "
             f"over the limit of {limit}")
 
@@ -146,7 +151,8 @@ def cmd_cohomology(prob: Problem, max_m: int, target: str,
     when a differential has more than `limit` entries (None: no limit)."""
     big = None if limit is None else oversized_differential(prob, max_m, target, limit)
     if big is not None:
-        raise ProblemFileError(_size_message(big, limit) + "; pass --no-size-limit to build it")
+        raise ProblemFileError(_size_message(prob, target, big, limit)
+                               + "; pass --no-size-limit to build it")
     checks: list[dict] = []
     if target == "pair":
         table = cohomology_table(lambda m: coboundary_matrix(prob.rep, m), 1, max_m)
@@ -229,10 +235,10 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
             big = oversized_differential(p, m, space, MAX_DIFFERENTIAL_ENTRIES)
             if big is not None:
                 raise ProblemFileError(f"cochains[{i}] ({space}, degree {m}) at arity {p.n}: "
-                                       + _size_message(big, MAX_DIFFERENTIAL_ENTRIES))
+                                       + _size_message(p, space, big, MAX_DIFFERENTIAL_ENTRIES))
     checks.append(_check_entry("raised_filippov", check_filippov(raised_alg)))
     checks.append(_check_entry("raised_representation", check_representation(raised_rep)))
-    t = prob.rb_operator()
+    t, lifted = prob.rb_operator(), raised.rb_operator()
     if t is not None:
         checks.append(_check_entry("rota_baxter", check_rb(prob.rep, prob.operator)))
         checks.append(_check_entry("lifted_rota_baxter", check_rb(raised_rep, prob.operator)))
@@ -246,11 +252,9 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
                       Fraction(0))
             normalized = Fraction((-1) ** (prob.n - 1)) * fx0 == 1
             if normalized:
-                ok = all(
-                    operator_chain_map_holds(
-                        t, prob.covector, x0,
-                        Wedge(prob.dim_g, prob.n - 1, {b: Fraction(1)}))
-                    for b in wedge_basis(prob.dim_g, prob.n - 1))
+                wedges = (Wedge(prob.dim_g, prob.n - 1, {b: Fraction(1)})
+                          for b in wedge_basis(prob.dim_g, prob.n - 1))
+                ok = all(operator_chain_map_holds(t, lifted, prob.covector, x0, w) for w in wedges)
                 checks.append(_bool_entry("operator_chain_map_degree0", ok))
             else:
                 checks.append({
@@ -260,7 +264,7 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
         sym = tail_antisymmetrize(bm)
         note = "" if sym == bm else "antisymmetrized wedge-tail component"
         if space == "pair":
-            ok = pair_chain_map_holds(prob.rep, prob.covector, sym)
+            ok = pair_chain_map_holds(prob.rep, raised_rep, prob.covector, sym)
             entry = _bool_entry(f"pair_chain_map[{i}]", ok)
         else:
             if t is None:
@@ -268,7 +272,7 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
                          "detail": "needs T"}
                 checks.append(entry)
                 continue
-            ok = operator_chain_map_holds(t, prob.covector, x0, sym)
+            ok = operator_chain_map_holds(t, lifted, prob.covector, x0, sym)
             entry = _bool_entry(f"operator_chain_map[{i}]", ok)
         if note:
             entry["detail"] = note

@@ -2,9 +2,10 @@
 
 A bracket-annihilating covector turns an n-ary structure into an (n+1)-ary
 one; the companion cochain maps commute with the differentials on both
-sides, which is what ties the two cohomologies together.  All of that is
-implemented here, including the degree-0 wedge rule that needs a central
-element of the semidirect product.
+sides, which is what ties the two cohomologies together.  The chain-map
+checks take the raised pair from their caller.  Above degree 0 an operator
+cochain lifts as a cochain of the induced pair; only the degree-0 wedge rule
+needs a central element of the semidirect product.
 """
 from __future__ import annotations
 
@@ -160,48 +161,46 @@ def is_central(rep: Representation, x0: Sequence) -> bool:
     return True
 
 
-def lift_operator_cochain(c: Union[Wedge, BlockMap], t: RBOperator,
-                          f: Sequence, x0: Optional[Sequence]) -> Union[Wedge, BlockMap]:
-    """Raise an operator cochain: wedge with the central element at degree 0,
-    identity at degree 1, covector-weighted interior products above.  Only
-    the degree-0 rule reads x0."""
-    if isinstance(c, Wedge):
-        if x0 is None or not is_central(t.rep, x0):
-            raise ValueError("x0 is not central in the semidirect product")
-        dg = t.algebra.dim
-        xi = vector(x0)[:dg]
-        n = t.algebra.n
-        coeffs: dict[tuple[int, ...], Fraction] = {}
-        for block, cf in c.coeffs.items():
-            for j in range(dg):
-                if xi[j] == 0:
-                    continue
-                s, sb = sort_with_sign(block + (j,))
-                if s == 0:
-                    continue
-                k = coeffs.get(sb, Fraction(0)) + cf * xi[j] * s
-                coeffs[sb] = k
-        return Wedge(dg, n, {k: v for k, v in coeffs.items() if v != 0})
-    return lift_cochain(c, induced_covector(t, f))
+def lift_operator_cochain(c: Wedge, t: RBOperator, x0: Optional[Sequence]) -> Wedge:
+    """Raise a degree-0 operator cochain: wedge it with the g-part of the
+    central element x0 (higher degrees lift as cochains of the induced pair)."""
+    if x0 is None or not is_central(t.rep, x0):
+        raise ValueError("x0 is not central in the semidirect product")
+    dg = t.algebra.dim
+    xi = vector(x0)[:dg]
+    n = t.algebra.n
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    for block, cf in c.coeffs.items():
+        for j in range(dg):
+            if xi[j] == 0:
+                continue
+            s, sb = sort_with_sign(block + (j,))
+            if s == 0:
+                continue
+            k = coeffs.get(sb, Fraction(0)) + cf * xi[j] * s
+            coeffs[sb] = k
+    return Wedge(dg, n, {k: v for k, v in coeffs.items() if v != 0})
 
 
 # ---------------------------------------------------------------------------
 # chain-map checks (both differentials against both lifts)
 # ---------------------------------------------------------------------------
 
-def pair_chain_map_holds(rep: Representation, f: Sequence, p: BlockMap) -> bool:
-    """Differential-then-lift equals lift-then-differential for pair cochains."""
-    raised = raise_arity_rep(rep, f)
-    lhs = coboundary(raised, lift_cochain(p, f))
-    rhs = lift_cochain(coboundary(rep, p), f)
-    return lhs == rhs
+def pair_chain_map_holds(rep: Representation, raised: Representation,
+                         f: Sequence, p: BlockMap) -> bool:
+    """Differential-then-lift equals lift-then-differential for pair
+    cochains; `raised` is `raise_arity_rep(rep, f)`."""
+    return coboundary(raised, lift_cochain(p, f)) == lift_cochain(coboundary(rep, p), f)
 
 
-def operator_chain_map_holds(t: RBOperator, f: Sequence, x0: Optional[Sequence],
-                             c: Union[Wedge, BlockMap]) -> bool:
-    """Same commuting square for operator cochains, degree 0 included."""
-    lifted = lift_operator(t, f)
-    lhs = rb_coboundary(lifted, lift_operator_cochain(c, t, f, x0))
-    rhs_low = rb_coboundary(t, c)
-    rhs = lift_operator_cochain(rhs_low, t, f, x0)
-    return lhs == rhs
+def operator_chain_map_holds(t: RBOperator, lifted: RBOperator, f: Sequence,
+                             x0: Optional[Sequence], c: Union[Wedge, BlockMap]) -> bool:
+    """Same commuting square for operator cochains, degree 0 included;
+    `lifted` is T over `raise_arity_rep(t.rep, f)`.  From degree 1 up it is
+    the pair square of the induced pairs, with the covector f∘T."""
+    if isinstance(c, Wedge):
+        # the degree-1 image has no blocks, so lifting it changes only n
+        return (rb_coboundary(lifted, lift_operator_cochain(c, t, x0))
+                == lift_cochain(rb_coboundary(t, c), induced_covector(t, f)))
+    return pair_chain_map_holds(t.induced_rep, lifted.induced_rep,
+                                induced_covector(t, f), c)

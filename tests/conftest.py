@@ -17,6 +17,7 @@ from nlie import (BlockMap, Matrix, NLieAlgebra, Representation, SpaceSpec,
                   abelian, adjoint_rep, coadjoint_rep, check_filippov,
                   check_representation, check_rb, zero_representation)
 from nlie.lift import admissible_covectors, raise_arity, raise_arity_rep
+from nlie.linalg import vector
 from nlie.multilinear import iter_keys, tail_antisymmetrize
 from nlie.rota_baxter import RBOperator
 
@@ -178,6 +179,35 @@ def central_image_operator(rep: Representation, rng: random.Random) -> Matrix:
             col[j] = rand_frac(rng)
         cols.append(tuple(col))
     return Matrix.from_columns(cols)
+
+
+def arity_raising_configs(algebras: dict[str, NLieAlgebra],
+                          rng: random.Random) -> list[tuple]:
+    """(algebra, rep, admissible f, operator T) for arity raising: the
+    adjoint, coadjoint and zero pairs of solv2, heis3 and nilp4 with the zero
+    and a central-image T, the one-block pair with a T that admits a
+    normalized central element, and the symplectic nilp4 operator."""
+    from nlie import SymplecticForm, left_mult_rep, symplectic_to_pre_lie
+    configs = []
+    pool = []
+    for name in ("solv2", "heis3", "nilp4"):
+        alg = algebras[name]
+        for rep in (adjoint_rep(alg), coadjoint_rep(alg),
+                    zero_representation(alg, 2)):
+            for f in admissible_covectors(alg):
+                pool.append((alg, rep, f))
+    for alg, rep, f in pool:
+        configs.append((alg, rep, f, Matrix.zero(alg.dim, rep.dim_v)))
+        configs.append((alg, rep, f, central_image_operator(rep, rng)))
+    rep1 = one_block_action_pair()
+    configs.append((rep1.algebra, rep1, vector((0, 0, 1)), Matrix([[0, 0], [0, 0], [1, 2]])))
+    nilp = algebras["nilp4"]
+    form = SymplecticForm(Matrix([[0, 0, 0, 1], [0, 0, 1, 0],
+                                  [0, -1, 0, 0], [-1, 0, 0, 0]]))
+    lrep = left_mult_rep(symplectic_to_pre_lie(nilp, form))
+    for f in admissible_covectors(nilp)[:2]:
+        configs.append((nilp, lrep, f, Matrix.identity(4)))
+    return configs
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,9 @@ import json
 import random
 from fractions import Fraction
 
-from conftest import (central_image_operator, one_block_action_pair, rand_frac,
-                      random_blockmap, random_homogeneous, random_matrix,
+from conftest import (arity_raising_configs, central_image_operator,
+                      one_block_action_pair, rand_frac, random_blockmap,
+                      random_homogeneous, random_matrix,
                       random_wedge_tail_cochain)
 
 from nlie import (Matrix, NLieAlgebra, Representation, abelian, adjoint_rep,
@@ -26,7 +27,7 @@ from nlie.deformation import (DeformationJet, check_order, extend,
 from nlie.lift import (admissible_covectors, find_center, is_admissible,
                        is_central, lift_operator, operator_chain_map_holds,
                        pair_chain_map_holds, raise_arity, raise_arity_rep)
-from nlie.linalg import kernel_basis, solve_linear, vector
+from nlie.linalg import kernel_basis, solve_linear
 from nlie.multilinear import bidegree_of, materialize
 from nlie.rota_baxter import (DerivedContext, RBOperator, Wedge, check_rb_mc,
                               cochain_to_vector, derived_bracket,
@@ -349,31 +350,7 @@ def test_criterion_9(algebras, operator_corpus):
 @criterion(10, "arity raising: structures, operator, both chain maps, >= 20 configs")
 def test_criterion_10(algebras):
     rng = random.Random(110)
-    configs = []
-    # (algebra, rep, f, T or None); x0 decided per config below
-    pool = []
-    for name in ("solv2", "heis3", "nilp4"):
-        alg = algebras[name]
-        for rep in (adjoint_rep(alg), coadjoint_rep(alg),
-                    zero_representation(alg, 2)):
-            for f in admissible_covectors(alg):
-                pool.append((alg, rep, f))
-    for alg, rep, f in pool:
-        configs.append((alg, rep, f, Matrix.zero(alg.dim, rep.dim_v)))
-        configs.append((alg, rep, f, central_image_operator(rep, rng)))
-    # the one-block pair supports a normalized central element
-    rep1 = one_block_action_pair()
-    alg1 = rep1.algebra
-    configs.append((alg1, rep1, vector((0, 0, 1)), Matrix([[0, 0], [0, 0], [1, 2]])))
-    # the invertible operator from the symplectic structure, on its left
-    # multiplication pair
-    from nlie import SymplecticForm, left_mult_rep, symplectic_to_pre_lie
-    nilp = algebras["nilp4"]
-    form = SymplecticForm(Matrix([[0, 0, 0, 1], [0, 0, 1, 0],
-                                  [0, -1, 0, 0], [-1, 0, 0, 0]]))
-    lrep = left_mult_rep(symplectic_to_pre_lie(nilp, form))
-    for f in admissible_covectors(nilp)[:2]:
-        configs.append((nilp, lrep, f, Matrix.identity(4)))
+    configs = arity_raising_configs(algebras, rng)
     assert len(configs) >= 20
     tested = 0
     degree0_tested = 0
@@ -390,12 +367,12 @@ def test_criterion_10(algebras):
         # pair cochain chain map, degrees 1..3
         for blocks in (0, 1, 2):
             p = random_wedge_tail_cochain(rng, alg.n, blocks, alg.dim, rep.dim_v)
-            assert pair_chain_map_holds(rep, f, p)
+            assert pair_chain_map_holds(rep, raised_rep, f, p)
         # operator cochain chain map, degrees 1..3
         for blocks in (0, 1, 2):
             c = random_wedge_tail_cochain(rng, alg.n, blocks, rep.dim_v, alg.dim)
             x0_zero = tuple(Fraction(0) for _ in range(alg.dim + rep.dim_v))
-            assert operator_chain_map_holds(t, f, x0_zero, c)
+            assert operator_chain_map_holds(t, lifted, f, x0_zero, c)
         # degree 0 needs a central element normalized against the covector
         n = alg.n
         target = Fraction((-1) ** (n - 1))
@@ -409,11 +386,11 @@ def test_criterion_10(algebras):
                   {b: rand_frac(rng) for b in wedge_basis(alg.dim, n - 1)})
         if xi is not None:
             assert is_central(rep, xi)
-            assert operator_chain_map_holds(t, f, xi, w)
+            assert operator_chain_map_holds(t, lifted, f, xi, w)
             degree0_tested += 1
         elif rb_coboundary(t, w).is_zero():
             x0_zero = tuple(Fraction(0) for _ in range(alg.dim + rep.dim_v))
-            assert operator_chain_map_holds(t, f, x0_zero, w)
+            assert operator_chain_map_holds(t, lifted, f, x0_zero, w)
             degree0_tested += 1
         tested += 1
     assert tested >= 20 and degree0_tested >= 3

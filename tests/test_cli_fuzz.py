@@ -1,9 +1,10 @@
 """Fuzzing the exit-code contract of `nlie` over its arguments: any mix of
 command, `--target`, `--action`, `--max-m` and problem file ends in exit 0
 (checks pass), 1 (a check failed) or 2 (input or usage error), never in a
-traceback.  The corpus reaches cochains, a non-central `x0` and a cochain
-too deep to lift, and `--max-m` reaches degrees the size guard refuses (d_6
-of the valid file's pair complex has 6.4M entries).  Everything runs
+traceback.  The corpus reaches cochains, a non-central `x0`, a cochain
+too deep to lift and a deep cochain over a zero module, and `--max-m`
+reaches degrees the size guard refuses (d_6 of the valid file's pair
+complex has 6.4M entries).  Everything runs
 in-process."""
 import contextlib
 import io
@@ -63,6 +64,12 @@ CORPUS = {
     "deep-cochain": json.dumps({
         **{k: v for k, v in HEIS3_NON_CENTRAL_X0.items() if k not in ("T", "x0")},
         "cochains": [{"space": "pair", "degree": 12, "entries": []}]}),
+    # heis3 and f acting on a zero module with an empty degree-8 pair
+    # cochain: every differential is 0 x 0, but d_7 walks 6561 x 2187 keys
+    "zero-module-deep": json.dumps({
+        **{k: v for k, v in HEIS3_NON_CENTRAL_X0.items() if k not in ("T", "x0", "rho")},
+        "V": {"dim": 0}, "rho": [],
+        "cochains": [{"space": "pair", "degree": 8, "entries": []}]}),
 }
 
 
@@ -103,6 +110,10 @@ def test_broken_file_fails_a_check(corpus):
          max_m=None, as_json=True)
 @example(command="lift", name="deep-cochain", target=None, action=None,
          max_m=None, as_json=True)
+@example(command="lift", name="zero-module-deep", target=None, action=None,
+         max_m=None, as_json=True)
+@example(command="cohomology", name="zero-module-deep", target="pair", action=None,
+         max_m=8, as_json=True)
 def test_every_argv_exits_0_1_or_2(corpus, command, name, target, action, max_m, as_json):
     argv = [command, str(corpus[name])]
     if target is not None:

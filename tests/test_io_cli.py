@@ -413,6 +413,24 @@ def test_lift_refuses_a_cochain_with_an_oversized_differential(tmp_path, capsys)
     assert main(["lift", write(tmp_path, "deep5.json", heis3_deep_cochain_file(5)), "--json"]) == 0
 
 
+def test_size_guard_counts_the_keys_of_a_zero_module(tmp_path, capsys):
+    """With dim V = 0 every differential is 0 x 0, but each cochain walk
+    still visits all 3^m keys of heis3's degree-m cochains, so d_7 (6561 x
+    2187 keys) is refused for `cohomology --max-m 13` and for a degree-8
+    cochain; a degree-6 cochain still lifts."""
+    def zero_module_file(degree):
+        payload = {**heis3_deep_cochain_file(degree), "V": {"dim": 0}, "rho": []}
+        return write(tmp_path, f"zero{degree}.json", payload)
+
+    keys = "d_7 is zero but would walk 6561 x 2187 cochain keys (14348907 pairs)"
+    assert main(["cohomology", zero_module_file(8), "--max-m", "13", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and keys in captured.err and "matrix" not in captured.err
+    assert main(["lift", zero_module_file(8), "--json"]) == 2
+    assert f"cochains[0] (pair, degree 8) at arity 2: {keys}" in capsys.readouterr().err
+    assert main(["lift", zero_module_file(6), "--json"]) == 0
+
+
 def test_cli_machine_output_deterministic(tmp_path, capsys):
     path = write(tmp_path, "p.json", ONE_BLOCK_FILE)
     main(["cohomology", path, "--max-m", "2", "--target", "operator", "--json"])
@@ -525,6 +543,38 @@ def test_cli_lift_chain_checks(tmp_path, capsys):
     assert any(n.startswith("operator_chain_map") for n in names)
     assert any(n.startswith("pair_chain_map") for n in names)
     assert code == 0
+
+
+def test_cli_lift_raises_the_pair_once(tmp_path, capsys, monkeypatch):
+    """One raised pair serves every chain-map check: the degree-0 wedges and
+    two pair and two operator cochains make one `raise_arity_rep` call, and
+    the two induced pairs (of T and of the lifted T) one `operator_rep` each."""
+    import nlie.lift
+    import nlie.rota_baxter
+    calls = {"raise_arity_rep": 0, "operator_rep": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((cli, "raise_arity_rep"), (nlie.lift, "raise_arity_rep"),
+                         (nlie.rota_baxter, "operator_rep")):
+        counted(module, name)
+    payload = dict(ONE_BLOCK_FILE)
+    payload["cochains"] = [
+        {"space": space, "degree": 2,
+         "entries": [{"blocks": [[1, 2]], "tail": 1, "value": {"1": "1/2"}}]}
+        for space in ("pair", "operator", "pair", "operator")]
+    assert main(["lift", write(tmp_path, "p.json", payload), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["check"] for c in report["checks"]][-5:] == [
+        "operator_chain_map_degree0", "pair_chain_map[0]", "operator_chain_map[1]",
+        "pair_chain_map[2]", "operator_chain_map[3]"]
+    assert calls == {"raise_arity_rep": 1, "operator_rep": 2}
 
 
 def test_cli_deform_obstructed_end_to_end(tmp_path, capsys):

@@ -205,10 +205,11 @@ def test_pair_chain_maps(algebras):
         if not fs:
             continue
         f = fs[0]
+        raised = raise_arity_rep(rep, f)
         d = alg.dim
         for blocks in (0, 1, 2):
             p = random_wedge_tail_cochain(rng, alg.n, blocks, d, d)
-            assert pair_chain_map_holds(rep, f, p)
+            assert pair_chain_map_holds(rep, raised, f, p)
 
 
 def test_chain_map_sends_cocycles_to_cocycles(algebras):
@@ -251,7 +252,7 @@ def test_non_central_rejected(algebras):
     w = Wedge(4, 2, {(0, 1): Fraction(1)})
     t = RBOperator(rep, Matrix.zero(4, 4))
     with pytest.raises(ValueError):
-        lift_operator_cochain(w, t, admissible_covectors(rep.algebra)[0], bad)
+        lift_operator_cochain(w, t, bad)
 
 
 NORMALIZED = None
@@ -270,17 +271,18 @@ def normalized_operator_config():
 def test_operator_chain_map_all_degrees():
     rng = random.Random(63)
     rep, t, f, x0 = normalized_operator_config()
+    lifted = lift_operator(t, f)
     assert is_admissible(rep.algebra, f)
     assert is_central(rep, x0)
     # degree 0: the differential is genuinely nonzero here
     w = Wedge(3, 2, {(0, 1): Fraction(1)})
     assert not rb_coboundary(t, w).is_zero()
-    assert operator_chain_map_holds(t, f, x0, w)
+    assert operator_chain_map_holds(t, lifted, f, x0, w)
     # degree 1 (no blocks) and degree 2 (wedge-tail) cochains
     c1 = random_blockmap(rng, 3, 0, 2, 3, "V", "g")
-    assert operator_chain_map_holds(t, f, x0, c1)
+    assert operator_chain_map_holds(t, lifted, f, x0, c1)
     c2 = random_wedge_tail_cochain(rng, 3, 1, 2, 3)
-    assert operator_chain_map_holds(t, f, x0, c2)
+    assert operator_chain_map_holds(t, lifted, f, x0, c2)
 
 
 def test_operator_chain_map_zero_x0_degenerate(algebras):
@@ -291,11 +293,12 @@ def test_operator_chain_map_zero_x0_degenerate(algebras):
     x0 = vector([0] * 5)
     w = Wedge(3, 2, {(0, 1): Fraction(1)})
     assert rb_coboundary(t, w).is_zero()
-    assert operator_chain_map_holds(t, vector((1, 0, 0)), x0, w)
+    f = vector((1, 0, 0))
+    assert operator_chain_map_holds(t, lift_operator(t, f), f, x0, w)
 
 
 def test_degree0_lift_wedges_with_center():
     rep, t, f, x0 = normalized_operator_config()
     w = Wedge(3, 2, {(0, 1): Fraction(2)})
-    lifted = lift_operator_cochain(w, t, f, x0)
+    lifted = lift_operator_cochain(w, t, x0)
     assert lifted.coeffs == {(0, 1, 2): Fraction(2)}
