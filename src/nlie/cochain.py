@@ -284,8 +284,9 @@ def twisted_differential(pi: AnyMap, f: AnyMap) -> BlockMap:
 def check_mc_pair(alg: NLieAlgebra, rep: Representation) -> bool:
     """Whether the combined lift squares to zero under the graded bracket.
 
-    Agrees with check_filippov ∧ check_representation; both routes are kept
-    so each can serve as the other's oracle.
+    Agrees with check_filippov ∧ check_representation.  It is the verdict
+    route of `nlie verify` and `nlie lift`: when it holds, both pair checks
+    pass; the direct checkers run only when it fails, to name the witness.
     """
     delta = semidirect_blockmap(rep)
     return is_zero_map(graded_bracket(delta, delta))

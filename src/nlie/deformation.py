@@ -4,6 +4,8 @@ A jet is the finite coefficient list (T, T_1, ..., T_m) of a polynomial
 family; validity means the defining identity holds coefficient-wise at
 every order up to m.  The obstruction to adding one more coefficient is a
 degree-2 cochain whose class decides solvability of an exact linear system.
+It is the order-(m+1) coefficient residual, which is totally antisymmetric
+in its n arguments from V, so it is evaluated on increasing V-tuples only.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Optional
 from .combinat import compositions
 from .core import CheckReport
 from .linalg import Matrix, Vec, solve_linear, vadd, viszero, vscale, vsub, vzero
-from .multilinear import BlockMap, SpaceSpec, iter_keys
+from .multilinear import BlockMap, SpaceSpec
 from .rota_baxter import (DerivedContext, RBOperator, Wedge,
                           cochain_to_vector, derived_bracket,
                           matrix_to_cochain, rb_coboundary,
@@ -78,17 +80,25 @@ def _coefficient_residual(jet_ops: list[Matrix], base: RBOperator, s: int,
     return total
 
 
+def _check_one_order(ops: list[Matrix], base: RBOperator, s: int) -> CheckReport:
+    """The order-s coefficient equation of the jet operators `ops` on the
+    increasing basis tuples of V."""
+    n, dv = base.algebra.n, base.rep.dim_v
+    for vs in itertools.combinations(range(dv), n):
+        res = _coefficient_residual(ops, base, s, vs)
+        if not viszero(res):
+            return CheckReport(False, witness=(s, vs), lhs=res,
+                               detail=f"order-{s} coefficient equation fails")
+    return CheckReport(True)
+
+
 def check_order(jet: DeformationJet) -> CheckReport:
     """Coefficient equations for every order 0..m on basis tuples of V."""
-    base = jet.base
-    n, dv = base.algebra.n, base.rep.dim_v
     ops = jet.operators()
     for s in range(jet.order + 1):
-        for vs in itertools.combinations(range(dv), n):
-            res = _coefficient_residual(ops, base, s, vs)
-            if not viszero(res):
-                return CheckReport(False, witness=(s, vs), lhs=res,
-                                   detail=f"order-{s} coefficient equation fails")
+        report = _check_one_order(ops, jet.base, s)
+        if not report:
+            return report
     return CheckReport(True)
 
 
@@ -124,20 +134,27 @@ class ObstructionClass:
 
 
 def obstruction(jet: DeformationJet) -> ObstructionClass:
-    """The degree-2 cochain blocking extension, with its cocycle property."""
+    """The degree-2 cochain blocking extension, with its cocycle property.
+
+    θ is the order-(m+1) coefficient residual, totally antisymmetric in its
+    n arguments from V.  It is evaluated once per increasing tuple vs, and
+    the value fills each key (vs without vs[k], vs[k]) with the sign
+    (−1)^(n−1−k) of moving vs[k] to the tail.  A key whose tail repeats a
+    block index stays absent: its residual is zero.
+    """
     base = jet.base
     n, dg, dv = base.algebra.n, base.algebra.dim, base.rep.dim_v
     ops = jet.operators()
     m = jet.order
-    src = SpaceSpec(dv, "V")
-    tgt = SpaceSpec(dg, "g")
     table = {}
-    for key in iter_keys(dv, n - 1, 1):
-        vs = key[0] + (key[-1],)
+    for vs in itertools.combinations(range(dv), n):
         val = _coefficient_residual(ops, base, m + 1, vs)
-        if not viszero(val):
-            table[key] = val
-    theta = BlockMap(n, 1, src, tgt, table)
+        if viszero(val):
+            continue
+        neg = vscale(val, Fraction(-1))
+        for k in range(n):
+            table[(vs[:k] + vs[k + 1:], vs[k])] = neg if (n - 1 - k) % 2 else val
+    theta = BlockMap(n, 1, SpaceSpec(dv, "V"), SpaceSpec(dg, "g"), table)
     checked = rb_coboundary(base, theta).is_zero()
     return ObstructionClass(jet, theta, checked)
 
@@ -162,8 +179,9 @@ def obstruction_via_derived(jet: DeformationJet) -> BlockMap:
 def extend(ob: ObstructionClass) -> Optional[Matrix]:
     """Next coefficient of the obstruction's jet if its class is trivial, else None.
 
-    Solves d·x = −theta exactly; any returned coefficient is re-verified by
-    running the order checks on the extended jet.
+    Solves d·x = −theta exactly.  Orders 0..m of the extended jet are the
+    equations the valid input jet already satisfies, so a returned
+    coefficient is re-verified on the new order m+1 only.
     """
     jet = ob.jet
     if not jet.order_report:
@@ -174,6 +192,6 @@ def extend(ob: ObstructionClass) -> Optional[Matrix]:
     if x is None:
         return None
     nxt = vector_to_matrix_cochain(jet.base, x)
-    if not check_order(jet.extended(nxt)):
+    if not _check_one_order(jet.extended(nxt).operators(), jet.base, jet.order + 1):
         raise RuntimeError("extension failed re-verification")
     return nxt

@@ -18,7 +18,7 @@ from .core import (NLieAlgebra, Representation, semidirect_bracket)
 from .linalg import (Matrix, Vec, basis_vec, kernel_basis, vadd, vector,
                      viszero, vscale, vzero)
 from .multilinear import BlockMap, iter_keys
-from .rota_baxter import RBOperator, Wedge, rb_coboundary
+from .rota_baxter import RBOperator, Wedge, rb_coboundary, wedge_basis
 from .cochain import coboundary
 
 
@@ -161,13 +161,9 @@ def is_central(rep: Representation, x0: Sequence) -> bool:
     return True
 
 
-def lift_operator_cochain(c: Wedge, t: RBOperator, x0: Optional[Sequence]) -> Wedge:
-    """Raise a degree-0 operator cochain: wedge it with the g-part of the
-    central element x0 (higher degrees lift as cochains of the induced pair)."""
-    if x0 is None or not is_central(t.rep, x0):
-        raise ValueError("x0 is not central in the semidirect product")
+def _wedge_with(c: Wedge, t: RBOperator, xi: Vec) -> Wedge:
+    """The wedge of c with xi, the g-part of a central element."""
     dg = t.algebra.dim
-    xi = vector(x0)[:dg]
     n = t.algebra.n
     coeffs: dict[tuple[int, ...], Fraction] = {}
     for block, cf in c.coeffs.items():
@@ -182,6 +178,14 @@ def lift_operator_cochain(c: Wedge, t: RBOperator, x0: Optional[Sequence]) -> We
     return Wedge(dg, n, {k: v for k, v in coeffs.items() if v != 0})
 
 
+def lift_operator_cochain(c: Wedge, t: RBOperator, x0: Optional[Sequence]) -> Wedge:
+    """Raise a degree-0 operator cochain: wedge it with the g-part of the
+    central element x0 (higher degrees lift as cochains of the induced pair)."""
+    if x0 is None or not is_central(t.rep, x0):
+        raise ValueError("x0 is not central in the semidirect product")
+    return _wedge_with(c, t, vector(x0)[:t.algebra.dim])
+
+
 # ---------------------------------------------------------------------------
 # chain-map checks (both differentials against both lifts)
 # ---------------------------------------------------------------------------
@@ -193,14 +197,32 @@ def pair_chain_map_holds(rep: Representation, raised: Representation,
     return coboundary(raised, lift_cochain(p, f)) == lift_cochain(coboundary(rep, p), f)
 
 
+def _degree0_square_holds(t: RBOperator, lifted: RBOperator, f: Sequence,
+                          c: Wedge, lifted_c: Wedge) -> bool:
+    """The degree-0 square of a wedge c whose lift is `lifted_c`."""
+    # the degree-1 image has no blocks, so lifting it changes only n
+    return (rb_coboundary(lifted, lifted_c)
+            == lift_cochain(rb_coboundary(t, c), induced_covector(t, f)))
+
+
 def operator_chain_map_holds(t: RBOperator, lifted: RBOperator, f: Sequence,
                              x0: Optional[Sequence], c: Union[Wedge, BlockMap]) -> bool:
     """Same commuting square for operator cochains, degree 0 included;
     `lifted` is T over `raise_arity_rep(t.rep, f)`.  From degree 1 up it is
     the pair square of the induced pairs, with the covector f∘T."""
     if isinstance(c, Wedge):
-        # the degree-1 image has no blocks, so lifting it changes only n
-        return (rb_coboundary(lifted, lift_operator_cochain(c, t, x0))
-                == lift_cochain(rb_coboundary(t, c), induced_covector(t, f)))
+        return _degree0_square_holds(t, lifted, f, c, lift_operator_cochain(c, t, x0))
     return pair_chain_map_holds(t.induced_rep, lifted.induced_rep,
                                 induced_covector(t, f), c)
+
+
+def degree0_chain_map_holds(t: RBOperator, lifted: RBOperator, f: Sequence,
+                            x0: Sequence) -> Optional[bool]:
+    """The degree-0 square on every basis wedge of ∧^{n−1}g, or None when x0
+    is not central; centrality is checked once, not once per wedge."""
+    if not is_central(t.rep, x0):
+        return None
+    dg, k = t.algebra.dim, t.algebra.n - 1
+    xi = vector(x0)[:dg]
+    wedges = (Wedge(dg, k, {b: Fraction(1)}) for b in wedge_basis(dg, k))
+    return all(_degree0_square_holds(t, lifted, f, w, _wedge_with(w, t, xi)) for w in wedges)

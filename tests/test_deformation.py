@@ -236,18 +236,18 @@ def test_extend_command_computes_the_obstruction_once(operator_corpus, monkeypat
 
 def test_extend_command_checks_the_input_jet_once(operator_corpus, monkeypatch):
     """`deform --action extend` runs the order checks once on the input jet,
-    for the report and for `extend`, and once on the extended jet."""
-    real, orders = deformation.check_order, []
+    for the report and for `extend`, and only the new order on the extended
+    jet: orders 0..m are the input jet's equations."""
+    real, orders = deformation._check_one_order, []
 
-    def counting(jet):
-        orders.append(jet.order)
-        return real(jet)
+    def counting(ops, base, s):
+        orders.append((len(ops) - 1, s))
+        return real(ops, base, s)
 
-    monkeypatch.setattr(deformation, "check_order", counting)
-    monkeypatch.setattr(cli, "check_order", counting, raising=False)
+    monkeypatch.setattr(deformation, "_check_one_order", counting)
     t = operator_corpus[5]
     zero = Matrix.zero(t.algebra.dim, t.rep.dim_v)
     prob = Problem(t.algebra.n, t.algebra, t.rep, operator=t.matrix, deformation=[zero])
     report = cli.cmd_deform(prob, "extend")
     assert report["extension"] != "obstructed"
-    assert orders == [1, 2]
+    assert orders == [(1, 0), (1, 1), (2, 2)]

@@ -577,6 +577,58 @@ def test_cli_lift_raises_the_pair_once(tmp_path, capsys, monkeypatch):
     assert calls == {"raise_arity_rep": 1, "operator_rep": 2}
 
 
+def test_cli_lift_checks_x0_centrality_once(tmp_path, capsys, monkeypatch):
+    """`x0_central` and the degree-0 square on all three basis wedges of the
+    one-block file share one `is_central` call."""
+    import nlie.lift
+    calls = []
+    inner = nlie.lift.is_central
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    for module in (cli, nlie.lift):
+        monkeypatch.setattr(module, "is_central", wrapper)
+    assert main(["lift", write(tmp_path, "p.json", ONE_BLOCK_FILE), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    entries = {c["check"]: c["status"] for c in report["checks"]}
+    assert entries["x0_central"] == entries["operator_chain_map_degree0"] == "pass"
+    assert len(calls) == 1
+
+
+def test_cli_verify_runs_the_direct_pair_checkers_only_on_failure(tmp_path, capsys,
+                                                                  monkeypatch):
+    """A valid pair passes `filippov` and `representation` on its [δ, δ]
+    alone; a broken one runs each direct checker once, for its witness."""
+    import nlie.core
+    calls = []
+
+    def counted(name):
+        inner = getattr(nlie.core, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+        for module in (cli, nlie.core):
+            monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("check_filippov", "check_representation"):
+        counted(name)
+    assert main(["verify", write(tmp_path, "ok.json", NILP_FILE), "--json"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    broken = dict(ONE_BLOCK_FILE, rho=ONE_BLOCK_FILE["rho"] + [
+        {"block": [1, 3], "matrix": [["0", "0"], ["1", "0"]]}])
+    assert main(["verify", write(tmp_path, "broken.json", broken), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"][:2] == [
+        {"check": "filippov", "status": "pass"},
+        {"check": "representation", "status": "fail", "witness": [[1, 2], [1, 3]],
+         "detail": "commutator identity fails"}]
+    assert sorted(calls) == ["check_filippov", "check_representation"]
+
+
 def test_cli_deform_obstructed_end_to_end(tmp_path, capsys):
     """The frozen nontrivial obstruction class surfaces as 'obstructed'."""
     from nlie import Matrix, NLieAlgebra, SpaceSpec, adjoint_rep
