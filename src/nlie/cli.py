@@ -178,9 +178,10 @@ def cmd_deform(prob: Problem, action: str) -> dict:
     if prob.operator is None:
         raise ProblemFileError("deformation commands need T")
     t = RBOperator(prob.rep, prob.operator)
-    checks = [_check_entry("rota_baxter", check_rb(prob.rep, prob.operator))]
+    checks: list[dict] = []
     report: dict[str, Any] = {"command": "deform", "action": action, "checks": checks}
     if action == "equivalence":
+        checks.append(_check_entry("rota_baxter", check_rb(prob.rep, prob.operator)))
         if not prob.deformation or not prob.deformation_prime:
             raise ProblemFileError("equivalence needs deformation and deformation_prime")
         t1, t1p = prob.deformation[0], prob.deformation_prime[0]
@@ -201,9 +202,13 @@ def cmd_deform(prob: Problem, action: str) -> dict:
         raise ProblemFileError("deformation coefficients missing")
     jet = DeformationJet(t, prob.deformation)
     order = jet.order_report
+    # order 0 is the operator identity, checked on the V-tuples check_rb walks
+    s, vs = (None, None) if order.holds else order.witness
+    identity = (CheckReport(False, witness=vs, detail="operator identity fails") if s == 0
+                else CheckReport(True))
+    checks.append(_check_entry("rota_baxter", identity))
     entry = {"check": "order_validity", "status": "pass" if order.holds else "fail"}
     if not order.holds:
-        s, vs = order.witness
         entry["witness"] = {"order": s, "tuple": _fmt_witness(vs)}
         entry["detail"] = order.detail
     checks.append(entry)

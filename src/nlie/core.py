@@ -5,6 +5,8 @@ has run, so broken structures are first-class values (the tests need them).
 Check reports carry the first violating basis tuple; `check_filippov` adds
 both sides of the failed identity.  A representation is checked as the
 fundamental identity of g ⋉ V, and its report names only the g-tuples.
+g ⋉ V is written straight from the pair's tables (:func:`semidirect_product`),
+and every construction on a pair reads its one bracket.
 """
 from __future__ import annotations
 
@@ -203,33 +205,21 @@ def coadjoint_rep(alg: NLieAlgebra) -> Representation:
     return Representation(alg, SpaceSpec(alg.dim, "g*"), action)
 
 
-def semidirect_bracket(rep: Representation, args: Sequence[Vec]) -> Vec:
-    """Semidirect product bracket of sum-space vectors (g coordinates first):
-    ([x_1..x_n], Σ_i (−1)^{n−1−i} ρ(x_1..x̂_i..x_n)u_i), slots with u_i = 0 skipped."""
-    alg = rep.algebra
-    n, dg, dv = alg.n, alg.dim, rep.dim_v
-    xs = [a[:dg] for a in args]
-    vpart = vzero(dv)
-    for i, a in enumerate(args):
-        u = a[dg:]
-        if viszero(u):
-            continue
-        term = rep.act(xs[:i] + xs[i + 1:], u)
-        vpart = vadd(vpart, vscale(term, Fraction((-1) ** (n - 1 - i))))
-    return alg.bracket(xs) + vpart
-
-
 def semidirect_product(rep: Representation) -> NLieAlgebra:
+    """g ⋉ V, its table read off the pair's tables.
+
+    A V index sorts after every g index, so a key with one V index u ends in
+    it and takes column u of its block's action matrix; an all-g key keeps
+    its bracket value, and a key with two V indices is zero (V is an abelian
+    ideal).  Values are padded with zeros on the other summand.
+    """
     alg = rep.algebra
-    n, dg, dv = alg.n, alg.dim, rep.dim_v
-    total = dg + dv
-    space = sum_space(dg, dv)
-    structure = {}
-    for key in itertools.combinations(range(total), n):
-        v = semidirect_bracket(rep, [basis_vec(total, i) for i in key])
-        if not viszero(v):
-            structure[key] = v
-    return NLieAlgebra(n, space, structure)
+    dg, dv = alg.dim, rep.dim_v
+    structure = {key: val + vzero(dv) for key, val in alg.structure.items()}
+    for block, mat in rep.action.items():
+        for u in range(dv):
+            structure[block + (dg + u,)] = vzero(dg) + mat.column(u)
+    return NLieAlgebra(alg.n, sum_space(dg, dv), structure)
 
 
 def check_representation(rep: Representation) -> CheckReport:

@@ -16,7 +16,7 @@ from functools import cached_property
 from math import factorial
 from typing import Optional
 
-from .combinat import compositions
+from .combinat import blocks_of, compositions
 from .core import CheckReport
 from .linalg import Matrix, Vec, solve_linear, vadd, viszero, vscale, vsub, vzero
 from .multilinear import BlockMap, SpaceSpec
@@ -24,7 +24,7 @@ from .rota_baxter import (DerivedContext, RBOperator, Wedge,
                           cochain_to_vector, derived_bracket,
                           matrix_to_cochain, rb_coboundary,
                           rb_coboundary_matrix, vector_to_matrix_cochain,
-                          wedge_basis, wedge_coboundary_matrix)
+                          wedge_coboundary_matrix)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def find_equivalence(t: RBOperator, t1: Matrix, t1p: Matrix) -> Optional[Wedge]:
     if x is None:
         return None
     n, dg = t.algebra.n, t.algebra.dim
-    coeffs = {block: c for block, c in zip(wedge_basis(dg, n - 1), x) if c != 0}
+    coeffs = {block: c for block, c in zip(blocks_of(dg, n - 1), x) if c != 0}
     return Wedge(dg, n - 1, coeffs)
 
 

@@ -243,6 +243,15 @@ def load_problem(path: str) -> Problem:
         return parse_problem(fh.read())
 
 
+def _emit_matrix(m: Matrix) -> list[list]:
+    return [[_rat_str(x) for x in row] for row in m.entries]
+
+
+def _emit_value(val: Vec) -> dict[str, Union[int, str]]:
+    """A vector as the sparse 1-based index -> rational map of the schema."""
+    return {str(i + 1): _rat_str(x) for i, x in enumerate(val) if x != 0}
+
+
 def emit_problem(prob: Problem) -> str:
     """Serialize back to the file schema, stable-ordered."""
     alg = prob.algebra
@@ -252,30 +261,26 @@ def emit_problem(prob: Problem) -> str:
         "g": {
             "dim": alg.dim,
             "bracket": [
-                {"args": [i + 1 for i in key],
-                 "value": {str(i + 1): _rat_str(x) for i, x in enumerate(val) if x != 0}}
+                {"args": [i + 1 for i in key], "value": _emit_value(val)}
                 for key, val in sorted(alg.structure.items())
             ],
         },
         "V": {"dim": prob.dim_v},
         "rho": [
-            {"block": [i + 1 for i in key],
-             "matrix": [[_rat_str(x) for x in row] for row in mat.entries]}
+            {"block": [i + 1 for i in key], "matrix": _emit_matrix(mat)}
             for key, mat in sorted(prob.rep.action.items())
         ],
     }
     if prob.operator is not None:
-        out["T"] = [[_rat_str(x) for x in row] for row in prob.operator.entries]
+        out["T"] = _emit_matrix(prob.operator)
     if prob.covector is not None:
         out["f"] = [_rat_str(x) for x in prob.covector]
     if prob.omega is not None:
-        out["omega"] = [[_rat_str(x) for x in row] for row in prob.omega.entries]
+        out["omega"] = _emit_matrix(prob.omega)
     if prob.deformation:
-        out["deformation"] = [[[_rat_str(x) for x in row] for row in m.entries]
-                              for m in prob.deformation]
+        out["deformation"] = [_emit_matrix(m) for m in prob.deformation]
     if prob.deformation_prime:
-        out["deformation_prime"] = [[[_rat_str(x) for x in row] for row in m.entries]
-                                    for m in prob.deformation_prime]
+        out["deformation_prime"] = [_emit_matrix(m) for m in prob.deformation_prime]
     if prob.x0 is not None:
         out["x0"] = [_rat_str(x) for x in prob.x0]
     if prob.cochains:
@@ -283,8 +288,7 @@ def emit_problem(prob: Problem) -> str:
             {"space": space, "degree": bm.blocks + 1,
              "entries": [
                  {"blocks": [[i + 1 for i in blk] for blk in key[:-1]],
-                  "tail": key[-1] + 1,
-                  "value": {str(i + 1): _rat_str(x) for i, x in enumerate(val) if x != 0}}
+                  "tail": key[-1] + 1, "value": _emit_value(val)}
                  for key, val in sorted(bm.table.items())
              ]}
             for space, bm in prob.cochains

@@ -2,10 +2,12 @@
 
 A bracket-annihilating covector turns an n-ary structure into an (n+1)-ary
 one; the companion cochain maps commute with the differentials on both
-sides, which is what ties the two cohomologies together.  The chain-map
-checks take the raised pair from their caller.  Above degree 0 an operator
-cochain lifts as a cochain of the induced pair; only the degree-0 wedge rule
-needs a central element of the semidirect product.
+sides, which is what ties the two cohomologies together.  A pair is raised
+through g ⋉ V: the raise of its bracket by f ⊕ 0_V, read back as a bracket
+on g and an action on V.  The center of g ⋉ V is read off its bracket too.
+The chain-map checks take the raised pair from their caller.  Above degree 0
+an operator cochain lifts as a cochain of the induced pair; only the
+degree-0 wedge rule needs a central element of the semidirect product.
 """
 from __future__ import annotations
 
@@ -13,12 +15,12 @@ import itertools
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .combinat import sort_with_sign
-from .core import (NLieAlgebra, Representation, semidirect_bracket)
+from .combinat import blocks_of, sort_with_sign
+from .core import NLieAlgebra, Representation, semidirect_product
 from .linalg import (Matrix, Vec, basis_vec, kernel_basis, vadd, vector,
                      viszero, vscale, vzero)
 from .multilinear import BlockMap, iter_keys
-from .rota_baxter import RBOperator, Wedge, rb_coboundary, wedge_basis
+from .rota_baxter import RBOperator, Wedge, rb_coboundary
 from .cochain import coboundary
 
 
@@ -64,23 +66,24 @@ def raise_arity(alg: NLieAlgebra, f: Sequence) -> NLieAlgebra:
 
 
 def raise_arity_rep(rep: Representation, f: Sequence) -> Representation:
-    """The companion action of the raised algebra on the same module."""
-    fv = vector(f)
+    """The raised algebra and its companion action on the same module.
+
+    Both are read off the raise of g ⋉ V by f ⊕ 0_V, which is admissible
+    exactly when f is: a key below dim g is a bracket of the raised algebra,
+    a key ending in the V index dim g + u gives column u of its block's
+    action matrix.
+    """
     alg = rep.algebra
-    raised = raise_arity(alg, fv)
-    n, d = alg.n, alg.dim
-    action = {}
-    for block in itertools.combinations(range(d), n):
-        mat = Matrix.zero(rep.dim_v, rep.dim_v)
-        for i in range(n):
-            c = fv[block[i]]
-            if c == 0:
-                continue
-            rest = block[:i] + block[i + 1:]
-            mat = mat + rep.operator(list(rest)).scale(c * Fraction((-1) ** i))
-        if not mat.is_zero():
-            action[block] = mat
-    return Representation(raised, rep.module, action)
+    dg, dv = alg.dim, rep.dim_v
+    raised = raise_arity(semidirect_product(rep), vector(f) + vzero(dv))
+    structure, columns = {}, {}
+    for key, val in raised.structure.items():
+        if key[-1] < dg:
+            structure[key] = val[:dg]
+        else:
+            columns.setdefault(key[:-1], [vzero(dv)] * dv)[key[-1] - dg] = val[dg:]
+    action = {block: Matrix.from_columns(cols) for block, cols in columns.items()}
+    return Representation(NLieAlgebra(alg.n + 1, alg.space, structure), rep.module, action)
 
 
 def lift_operator(t: RBOperator, f: Sequence) -> RBOperator:
@@ -133,14 +136,11 @@ def lift_cochain(p: BlockMap, f: Sequence) -> BlockMap:
 
 def find_center(rep: Representation) -> list[Vec]:
     """Basis of the center of the semidirect product, by exact solve."""
-    alg = rep.algebra
-    n = alg.n
-    total = alg.dim + rep.dim_v
+    sd = semidirect_product(rep)
+    total = sd.dim
     rows = []
-    for block in itertools.combinations(range(total), n - 1):
-        base = [basis_vec(total, i) for i in block]
-        cols = [semidirect_bracket(rep, base + [basis_vec(total, j)])
-                for j in range(total)]
+    for block in blocks_of(total, sd.n - 1):
+        cols = [sd.bracket([*block, j]) for j in range(total)]
         for c in range(total):
             rows.append([col[c] for col in cols])
     if not rows:
@@ -150,15 +150,10 @@ def find_center(rep: Representation) -> list[Vec]:
 
 def is_central(rep: Representation, x0: Sequence) -> bool:
     x0v = vector(x0)
-    alg = rep.algebra
-    total = alg.dim + rep.dim_v
-    if len(x0v) != total:
+    sd = semidirect_product(rep)
+    if len(x0v) != sd.dim:
         raise ValueError("central element must live in the sum space")
-    for block in itertools.combinations(range(total), alg.n - 1):
-        base = [basis_vec(total, i) for i in block]
-        if not viszero(semidirect_bracket(rep, base + [x0v])):
-            return False
-    return True
+    return all(viszero(sd.bracket([*block, x0v])) for block in blocks_of(sd.dim, sd.n - 1))
 
 
 def _wedge_with(c: Wedge, t: RBOperator, xi: Vec) -> Wedge:
@@ -224,5 +219,5 @@ def degree0_chain_map_holds(t: RBOperator, lifted: RBOperator, f: Sequence,
         return None
     dg, k = t.algebra.dim, t.algebra.n - 1
     xi = vector(x0)[:dg]
-    wedges = (Wedge(dg, k, {b: Fraction(1)}) for b in wedge_basis(dg, k))
+    wedges = (Wedge(dg, k, {b: Fraction(1)}) for b in blocks_of(dg, k))
     return all(_degree0_square_holds(t, lifted, f, w, _wedge_with(w, t, xi)) for w in wedges)

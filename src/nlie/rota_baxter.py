@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 from .combinat import blocks_of
 from .core import (CheckReport, NLieAlgebra, NPreLie, Representation,
-                   semidirect_bracket, semidirect_blockmap, sub_adjacent)
+                   semidirect_blockmap, semidirect_product, sub_adjacent)
 from .linalg import Matrix, Vec, basis_vec, vadd, viszero, vscale, vsub, vzero
 from .multilinear import (BlockMap, Element, SpaceSpec, iter_keys,
                           lift_operator_map, project_operator_part)
@@ -49,8 +49,7 @@ class Wedge:
         self.coeffs = clean
 
 
-def wedge_basis(dim: int, size: int) -> tuple[tuple[int, ...], ...]:
-    return blocks_of(dim, size)
+wedge_basis = blocks_of  # kept for perfbench/gen.py; the engine calls blocks_of
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,9 @@ def check_rb(rep: Representation, t: Matrix) -> CheckReport:
     n-tuples of V, g-part = T(V-part) of the bracket of graph vectors."""
     dg = rep.algebra.dim
     op = RBOperator(rep, t)
+    sd = semidirect_product(rep)
     for vs in itertools.combinations(range(rep.dim_v), rep.n):
-        b = semidirect_bracket(rep, [op.graph(v) for v in vs])
+        b = sd.bracket([op.graph(v) for v in vs])
         lhs, rhs = b[:dg], t.mul_vec(b[dg:])
         if lhs != rhs:
             return CheckReport(False, witness=vs, lhs=lhs, rhs=rhs,
@@ -149,13 +149,14 @@ def derived_bracket_tt_direct(ctx: DerivedContext, t: Matrix) -> BlockMap:
     rep = ctx.rep
     n, dv = ctx.n, ctx.dim_v
     op = RBOperator(rep, t)
+    sd = semidirect_product(rep)
     src = SpaceSpec(dv, "V")
     tgt = SpaceSpec(ctx.dim_g, "g")
     nf = Fraction(factorial(n))
     table = {}
     for key in iter_keys(dv, n - 1, 1):
         graphs = [op.graph(v) for v in key[0] + (key[-1],)]
-        val = vscale(op.twist(semidirect_bracket(rep, graphs)), nf)
+        val = vscale(op.twist(sd.bracket(graphs)), nf)
         if not viszero(val):
             table[key] = val
     return BlockMap(n, 1, src, tgt, table)
@@ -223,11 +224,11 @@ def operator_rep(t: RBOperator) -> Representation:
     rep = t.rep
     dg, dv = rep.algebra.dim, rep.dim_v
     base = induced_bracket(t)
+    sd = semidirect_product(rep)
     action = {}
     for block in blocks_of(dv, rep.n - 1):
         graphs = [t.graph(u) for u in block]
-        cols = [t.twist(semidirect_bracket(rep, graphs + [basis_vec(dg + dv, x)]))
-                for x in range(dg)]
+        cols = [t.twist(sd.bracket([*graphs, x])) for x in range(dg)]
         mat = Matrix.from_columns(cols)
         if not mat.is_zero():
             action[block] = mat
@@ -267,7 +268,7 @@ def wedge_coboundary_matrix(t: RBOperator) -> Matrix:
     """Matrix of the degree-0 differential in the lexicographic bases."""
     n, dg, dv = t.algebra.n, t.algebra.dim, t.rep.dim_v
     images = (wedge_coboundary(t, Wedge(dg, n - 1, {block: Fraction(1)})).table
-              for block in wedge_basis(dg, n - 1))
+              for block in blocks_of(dg, n - 1))
     return _scatter(images, cochain_basis(dv, n, 1, dg))
 
 

@@ -36,8 +36,7 @@ from nlie.rota_baxter import (DerivedContext, RBOperator, Wedge, check_rb_mc,
                               pre_lie_of_operator, rb_coboundary,
                               rb_coboundary_matrix, rb_cohomology_dim,
                               twisted_bracket, twisted_mc_holds,
-                              vector_to_matrix_cochain, wedge_basis,
-                              wedge_coboundary)
+                              vector_to_matrix_cochain, wedge_coboundary)
 
 
 def criterion(num, text):
@@ -338,7 +337,7 @@ def test_criterion_9(algebras, operator_corpus):
         if not check_order(DeformationJet(op, [t1])):
             continue
         n, dg = op.algebra.n, op.algebra.dim
-        w = Wedge(dg, n - 1, {b: rand_frac(rng) for b in wedge_basis(dg, n - 1)})
+        w = Wedge(dg, n - 1, {b: rand_frac(rng) for b in blocks_of(dg, n - 1)})
         dw = wedge_coboundary(op, w)
         t1p = t1 + Matrix.from_columns([dw.value((u,)) for u in range(op.rep.dim_v)])
         gauge = find_equivalence(op, t1, t1p)
@@ -383,7 +382,7 @@ def test_criterion_10(algebras):
                 xi = tuple(x * target / fz for x in z)
                 break
         w = Wedge(alg.dim, n - 1,
-                  {b: rand_frac(rng) for b in wedge_basis(alg.dim, n - 1)})
+                  {b: rand_frac(rng) for b in blocks_of(alg.dim, n - 1)})
         if xi is not None:
             assert is_central(rep, xi)
             assert operator_chain_map_holds(t, lifted, f, xi, w)

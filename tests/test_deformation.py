@@ -6,6 +6,7 @@ import pytest
 from conftest import rand_frac, random_matrix
 
 from nlie import Matrix, abelian, adjoint_rep, cli, deformation, zero_representation
+from nlie.combinat import blocks_of
 from nlie.deformation import (DeformationJet, check_infinitesimal, check_order,
                               extend, find_equivalence, obstruction,
                               obstruction_via_derived)
@@ -13,7 +14,7 @@ from nlie.io import Problem
 from nlie.linalg import kernel_basis, rank
 from nlie.rota_baxter import (RBOperator, Wedge, cochain_to_vector,
                               rb_coboundary_matrix, vector_to_matrix_cochain,
-                              wedge_coboundary, wedge_basis)
+                              wedge_coboundary)
 
 
 def cocycle_sample(t: RBOperator, rng: random.Random, count: int):
@@ -73,7 +74,7 @@ def test_coboundaries_are_cocycles(operator_corpus):
     rng = random.Random(52)
     for op in operator_corpus[:5]:
         n, dg = op.algebra.n, op.algebra.dim
-        blocks = wedge_basis(dg, n - 1)
+        blocks = blocks_of(dg, n - 1)
         coeffs = {b: rand_frac(rng) for b in blocks}
         w = Wedge(dg, n - 1, coeffs)
         dw = wedge_coboundary(op, w)
@@ -117,7 +118,7 @@ def test_equivalence_planted_gauge(operator_corpus):
         t1 = next(iter(cocycle_sample(op, rng, 1)), None)
         if t1 is None:
             continue
-        w = Wedge(dg, n - 1, {b: rand_frac(rng) for b in wedge_basis(dg, n - 1)})
+        w = Wedge(dg, n - 1, {b: rand_frac(rng) for b in blocks_of(dg, n - 1)})
         dw = wedge_coboundary(op, w)
         t1p = t1 + Matrix.from_columns([dw.value((u,)) for u in range(op.rep.dim_v)])
         gauge = find_equivalence(op, t1, t1p)

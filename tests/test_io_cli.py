@@ -496,6 +496,40 @@ def test_cli_deform_invalid_jet_reports_order(tmp_path, capsys):
     assert len(entry["witness"]["tuple"]) == 2
 
 
+SL2 = {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2], (1, 2): [1, 0, 0]}
+
+
+@pytest.mark.parametrize("t, jet, status, order", [
+    # T = id breaks the identity on sl2: [u, v] = 2[u, v]
+    (Matrix.identity(3), [Matrix.zero(3, 3)], "fail", 0),
+    # T = 0 holds; the garbage second coefficient fails order 2
+    (Matrix.zero(3, 3), [Matrix([[2, -1, -1], [2, -1, 2], [-2, -2, 0]]),
+                         Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])], "pass", 2),
+])
+def test_cli_deform_reads_the_operator_identity_off_order_0(tmp_path, capsys, monkeypatch,
+                                                            t, jet, status, order):
+    """`deform --action check|extend` gives verify's `rota_baxter` entry,
+    read off order 0 of the jet: check_rb does not run."""
+    alg = NLieAlgebra(2, SpaceSpec(3, "g"), SL2)
+    prob = Problem(2, alg, adjoint_rep(alg), operator=t, deformation=jet)
+    path = tmp_path / "p.json"
+    path.write_text(emit_problem(prob))
+    assert main(["verify", str(path), "--json"]) == (status == "fail")
+    verify = json.loads(capsys.readouterr().out)["checks"]
+    calls = []
+    monkeypatch.setattr(cli, "check_rb", lambda *args: calls.append(args))
+    for action in ("check", "extend"):
+        assert main(["deform", str(path), "--action", action, "--json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks[0] == next(c for c in verify if c["check"] == "rota_baxter")
+        assert checks[0]["status"] == status
+        assert checks[1]["check"] == "order_validity"
+        assert checks[1]["witness"]["order"] == order
+        if status == "fail":
+            assert checks[1]["witness"]["tuple"] == checks[0]["witness"]
+    assert calls == []
+
+
 def test_cli_deform_equivalence(tmp_path, capsys):
     payload = dict(ONE_BLOCK_FILE)
     zero = [["0", "0"], ["0", "0"], ["0", "0"]]

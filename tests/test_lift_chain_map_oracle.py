@@ -14,13 +14,13 @@ from conftest import (arity_raising_configs, broken_action, broken_algebra,
                       rand_frac, random_blockmap, random_wedge_tail_cochain)
 
 from nlie.cochain import coboundary
-from nlie.combinat import sort_with_sign
+from nlie.combinat import blocks_of, sort_with_sign
 from nlie.core import Representation
 from nlie.lift import (find_center, induced_covector, is_admissible, is_central,
                        lift_cochain, lift_operator, operator_chain_map_holds,
                        pair_chain_map_holds, raise_arity_rep)
 from nlie.linalg import vector
-from nlie.rota_baxter import RBOperator, Wedge, rb_coboundary, wedge_basis
+from nlie.rota_baxter import RBOperator, Wedge, rb_coboundary
 
 
 def reference_lift_operator_cochain(c, t, f, x0):
@@ -106,7 +106,7 @@ def compare_on(rep, f, tmat, rng, blocks, verdicts):
     x0s = [zero] + centrals + [tuple(2 * x for x in z) for z in centrals]
     if not is_central(rep, (1,) + zero[1:]):
         x0s.append((1,) + zero[1:])
-    w = Wedge(dg, n - 1, {k: rand_frac(rng) for k in wedge_basis(dg, n - 1)})
+    w = Wedge(dg, n - 1, {k: rand_frac(rng) for k in blocks_of(dg, n - 1)})
     for x0 in x0s:
         got = outcome(operator_chain_map_holds, t, lifted, f, x0, w)
         assert got == outcome(reference_operator_chain_map_holds, t, f, x0, w)
