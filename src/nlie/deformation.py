@@ -18,9 +18,9 @@ from typing import Optional
 
 from .combinat import blocks_of, compositions
 from .core import CheckReport
-from .linalg import Matrix, Vec, solve_linear, vadd, viszero, vscale, vsub, vzero
+from .linalg import Matrix, solve_linear, viszero, vscale
 from .multilinear import BlockMap, SpaceSpec
-from .rota_baxter import (DerivedContext, RBOperator, Wedge,
+from .rota_baxter import (DerivedContext, RBOperator, Wedge, _coefficient_residual,
                           cochain_to_vector, derived_bracket,
                           matrix_to_cochain, rb_coboundary,
                           rb_coboundary_matrix, vector_to_matrix_cochain,
@@ -56,28 +56,6 @@ class DeformationJet:
     def order_report(self) -> CheckReport:
         """:func:`check_order` of this jet, run on first use."""
         return check_order(self)
-
-
-def _coefficient_residual(jet_ops: list[Matrix], base: RBOperator, s: int,
-                          vs: tuple[int, ...]) -> Vec:
-    """LHS − RHS of the order-s coefficient equation at a basis tuple, summed
-    over the compositions of s into coefficients the jet has."""
-    rep = base.rep
-    alg = rep.algebra
-    n, dg = alg.n, alg.dim
-    total = vzero(dg)
-    for comp in compositions(s, n, len(jet_ops) - 1):
-        imgs = [jet_ops[comp[j]].column(vs[j]) for j in range(n)]
-        total = vadd(total, alg.bracket(imgs))
-        inner = vzero(rep.dim_v)
-        for k in range(n):
-            survivors = [j for j in range(n) if j != k]
-            args = [jet_ops[comp[p + 1]].column(vs[j])
-                    for p, j in enumerate(survivors)]
-            inner = vadd(inner, vscale(rep.act(args, vs[k]),
-                                       Fraction((-1) ** (n - 1 - k))))
-        total = vsub(total, jet_ops[comp[0]].mul_vec(inner))
-    return total
 
 
 def _check_one_order(ops: list[Matrix], base: RBOperator, s: int) -> CheckReport:

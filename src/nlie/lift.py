@@ -17,8 +17,8 @@ from typing import Optional, Sequence, Union
 
 from .combinat import blocks_of, sort_with_sign
 from .core import NLieAlgebra, Representation, semidirect_product
-from .linalg import (Matrix, Vec, basis_vec, kernel_basis, vadd, vector,
-                     viszero, vscale, vzero)
+from .linalg import (Matrix, Vec, accumulate, basis_vec, from_coords, kernel_basis,
+                     vadd, vector, viszero, vscale, vzero)
 from .multilinear import BlockMap, iter_keys
 from .rota_baxter import RBOperator, Wedge, rb_coboundary
 from .cochain import coboundary
@@ -105,7 +105,9 @@ def lift_cochain(p: BlockMap, f: Sequence) -> BlockMap:
     last block and the tail are read as one (n+1)-wedge, and the covector
     drops one element from every block and from that wedge, with the sign
     of the dropped positions; what is left of the wedge splits into the
-    last block and the tail.  The chain-map identity with the raised
+    last block and the tail.  Each wedge is expanded only over positions
+    where the covector is nonzero, and keys absent from the table are
+    skipped.  The chain-map identity with the raised
     differential holds on cochains antisymmetric between the last block and
     the tail (the wedge-tail subspace; see multilinear.tail_antisymmetrize).
     """
@@ -118,17 +120,19 @@ def lift_cochain(p: BlockMap, f: Sequence) -> BlockMap:
     table = {}
     for key in iter_keys(d, n, b):
         wedges = key[:-2] + (key[-2] + (key[-1],),)
-        total = vzero(p.target.dim)
-        for picks in itertools.product(*(range(len(w)) for w in wedges)):
-            coeff = Fraction((-1) ** sum(picks))
-            for w, i in zip(wedges, picks):
-                coeff *= fv[w[i]]
-                if coeff == 0:
-                    break
-            if coeff == 0:
+        # the positions a pick may drop: those where the covector is nonzero
+        picks = [[(i, fv[j]) for i, j in enumerate(w) if fv[j]] for w in wedges]
+        acc: dict[int, Fraction] = {}
+        for pick in itertools.product(*picks):
+            *blocks, last = (w[:i] + w[i + 1:] for w, (i, _) in zip(wedges, pick))
+            val = p.table.get((*blocks, last[:-1], last[-1]))
+            if val is None:
                 continue
-            *blocks, last = (w[:i] + w[i + 1:] for w, i in zip(wedges, picks))
-            total = vadd(total, vscale(p.value((*blocks, last[:-1], last[-1])), coeff))
+            coeff = Fraction((-1) ** sum(i for i, _ in pick))
+            for _, c in pick:
+                coeff *= c
+            accumulate(acc, val, coeff)
+        total = from_coords(acc, p.target.dim)
         if not viszero(total):
             table[key] = total
     return BlockMap(n + 1, b, p.source, p.target, table)

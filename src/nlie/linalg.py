@@ -57,6 +57,28 @@ def basis_vec(dim: int, i: int) -> Vec:
     return tuple(_ONE if j == i else _ZERO for j in range(dim))
 
 
+def nonzero(v: Sequence) -> list[tuple[int, Fraction]]:
+    """The (index, coefficient) pairs of the nonzero coordinates of v."""
+    return [(j, x) for j, x in enumerate(v) if x]
+
+
+def accumulate(acc: dict[int, Fraction], v: Sequence, c: Fraction = _ONE) -> None:
+    """acc += c·v on a coordinate dict, reading only the nonzero entries of v."""
+    if c == 1:
+        for j, x in enumerate(v):
+            if x:
+                acc[j] = acc[j] + x if j in acc else x
+    else:
+        for j, x in enumerate(v):
+            if x:
+                acc[j] = acc[j] + c * x if j in acc else c * x
+
+
+def from_coords(acc: dict[int, Fraction], dim: int) -> Vec:
+    """The dense vector of a coordinate dict."""
+    return tuple(acc.get(j, _ZERO) for j in range(dim))
+
+
 class Matrix:
     """Immutable dense matrix with Fraction entries."""
 
@@ -131,7 +153,8 @@ class Matrix:
         v = vector(v)
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        return tuple(sum((a * b for a, b in zip(row, v)), _ZERO) for row in self.entries)
+        nz = nonzero(v)
+        return tuple(sum((row[j] * x for j, x in nz if row[j]), _ZERO) for row in self.entries)
 
     def transpose(self) -> "Matrix":
         return Matrix([[self.entries[i][j] for i in range(self.rows)]

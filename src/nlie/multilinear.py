@@ -7,9 +7,11 @@ sparse over sorted basis keys.
 
 :func:`apply_map` is the one evaluator of such maps.  It reads a map's
 `value(key)`, where a key is `blocks` strictly increasing index tuples
-followed by one tail index, and its `target` (for the zero vector); it
-expands vector arguments over their nonzero coordinates, sorts each block
-with its sign and looks the key up.  The key enumerations
+followed by one tail index, and its `target` (for the zero vector).  Each
+vector argument becomes its nonzero (index, coefficient) pairs; one
+product over those lists gives the leaves, each block of a leaf is sorted
+with its sign, and each key is looked up once with the summed coefficient
+of its leaves.  The key enumerations
 (:func:`domain_keys`, :func:`materialize`) also read `n`, `blocks` and
 `source`.  :class:`BlockMap` and :class:`LazyMap` (the same contract backed
 by a memoized callable, for a map known only key by key) satisfy all of
@@ -29,7 +31,8 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .combinat import sort_with_sign
-from .linalg import Vec, vadd, viszero, vscale, vzero
+from .linalg import (Vec, accumulate, from_coords, nonzero, vadd, viszero, vscale,
+                     vzero)
 
 # a basis key: `blocks` sorted index tuples followed by one tail index
 Key = tuple
@@ -144,44 +147,67 @@ def domain_keys(m: AnyMap) -> Iterator[Key]:
     return iter_keys(m.source.dim, m.n - 1, m.blocks)
 
 
-def apply_map(m: AnyMap, blocks: Sequence[Sequence[Element]], tail: Element) -> Vec:
-    """Evaluate with full multilinear/antisymmetric semantics.
+# the coefficient of a basis-index argument: a leaf multiplies only the
+# coefficients of its vector arguments
+_INDEX = Fraction(1)
 
-    Block elements and the tail may be basis indices or coefficient vectors;
-    vectors expand over their nonzero coordinates.
-    """
-    for bi, block in enumerate(blocks):
-        for ei, elt in enumerate(block):
-            if not isinstance(elt, int):
-                total = vzero(m.target.dim)
-                for idx, c in enumerate(elt):
-                    if c != 0:
-                        nb = list(block)
-                        nb[ei] = idx
-                        nbs = list(blocks)
-                        nbs[bi] = nb
-                        v = apply_map(m, nbs, tail)
-                        if not viszero(v):
-                            total = vadd(total, vscale(v, c))
-                return total
-    if not isinstance(tail, int):
-        total = vzero(m.target.dim)
-        for idx, c in enumerate(tail):
-            if c != 0:
-                v = apply_map(m, blocks, idx)
-                if not viszero(v):
-                    total = vadd(total, vscale(v, c))
-        return total
-    sign = 1
-    key = []
+
+def _terms(e: Element) -> Sequence[tuple[int, Fraction]]:
+    """An argument's nonzero (index, coefficient) pairs."""
+    return ((e, _INDEX),) if isinstance(e, int) else nonzero(e)
+
+
+def _sorted_key(blocks: Sequence[Sequence[int]], tail: int) -> tuple[int, Optional[Key]]:
+    """(sign, key) of index blocks sorted with their signs, followed by the
+    tail; (0, None) when a block repeats an index."""
+    key, sign = [], 1
     for block in blocks:
         s, sb = sort_with_sign(tuple(block))
         if s == 0:
-            return vzero(m.target.dim)
+            return 0, None
         sign *= s
         key.append(sb)
-    v = m.value(tuple(key) + (tail,))
-    return vscale(v, Fraction(sign)) if sign != 1 else v
+    key.append(tail)
+    return sign, tuple(key)
+
+
+def apply_map(m: AnyMap, blocks: Sequence[Sequence[Element]], tail: Element) -> Vec:
+    """Evaluate with full multilinear/antisymmetric semantics.
+
+    Block elements and the tail may be basis indices or coefficient vectors.
+    Each argument becomes its nonzero (index, coefficient) pairs, and one
+    product over those lists gives the leaves.  A leaf's blocks are sorted
+    with their signs; leaves that meet on one key add their coefficients,
+    and each key is looked up once.  Only the nonzero coordinates of the
+    values are read.  An all-index call is one leaf, read as one lookup.
+    """
+    if isinstance(tail, int) and all(isinstance(e, int) for block in blocks for e in block):
+        sign, key = _sorted_key(blocks, tail)
+        if sign == 0:
+            return vzero(m.target.dim)
+        v = m.value(key)
+        return v if sign == 1 else vscale(v, Fraction(sign))
+    spans = list(itertools.pairwise(itertools.accumulate((len(b) for b in blocks), initial=0)))
+    slots = [_terms(e) for block in blocks for e in block]
+    slots.append(_terms(tail))
+    coeffs: dict[Key, Fraction] = {}
+    for leaf in itertools.product(*slots):
+        idx, cs = zip(*leaf)
+        sign, key = _sorted_key([idx[a:b] for a, b in spans], idx[-1])
+        if sign == 0:
+            continue
+        c = None
+        for x in cs:
+            if x is not _INDEX:
+                c = x if c is None else c * x
+        if sign < 0:
+            c = -c
+        coeffs[key] = coeffs[key] + c if key in coeffs else c
+    acc: dict[int, Fraction] = {}
+    for key, c in coeffs.items():
+        if c:
+            accumulate(acc, m.value(key), c)
+    return from_coords(acc, m.target.dim)
 
 
 def materialize(m: AnyMap) -> BlockMap:

@@ -1,10 +1,12 @@
 """Relative Rota-Baxter operators, derived brackets, operator cohomology.
 
-T: V -> g is an operator iff its graph {(Tu, u)} is a subalgebra of g ⋉ V.
-The identity compares the g-part of the semidirect bracket of graph vectors
-with T of its V-part, and ρ_T is its twist x − Tu with (x, 0) in the last
-slot, built once per :class:`RBOperator`.  The bracket on V is the
-sub-adjacent bracket of the operator's n-pre-Lie product
+T: V -> g is an operator iff its graph {(Tu, u)} is a subalgebra of g ⋉ V:
+the g-part of the semidirect bracket of graph vectors is T of its V-part.
+That identity is order 0 of the jet residual, which :func:`check_rb` and
+the deformation checks share.  ρ_T is the twist x − Tu of the graph bracket
+with (x, 0) in the last slot, computed from the bracket and the action on
+T's columns and built once per :class:`RBOperator`.  The bracket on V is
+the sub-adjacent bracket of the operator's n-pre-Lie product
 ρ(Tu_1, …, Tu_{n−1})u_n.
 
 An operator cochain of degree m >= 1 is a BlockMap with m-1 blocks over the
@@ -21,10 +23,11 @@ from functools import cached_property
 from math import factorial
 from typing import Optional, Sequence, Union
 
-from .combinat import blocks_of
+from .combinat import blocks_of, compositions
 from .core import (CheckReport, NLieAlgebra, NPreLie, Representation,
                    semidirect_blockmap, semidirect_product, sub_adjacent)
-from .linalg import Matrix, Vec, basis_vec, vadd, viszero, vscale, vsub, vzero
+from .linalg import (Matrix, Vec, accumulate, basis_vec, from_coords, vadd, viszero,
+                     vscale, vsub, vzero)
 from .multilinear import (BlockMap, Element, SpaceSpec, iter_keys,
                           lift_operator_map, project_operator_part)
 from .cochain import (_scatter, coboundary, coboundary_matrix, cochain_basis,
@@ -88,17 +91,44 @@ class RBOperator:
         return operator_rep(self)
 
 
+def _coefficient_residual(jet_ops: Sequence[Matrix], base: RBOperator, s: int,
+                          vs: tuple[int, ...]) -> Vec:
+    """LHS − RHS of the order-s coefficient equation at a basis tuple, summed
+    over the compositions of s into coefficients the jet has; order 0 is the
+    operator identity of jet_ops[0].
+
+    Each jet column Tᵢ(vⱼ) is read once, and the brackets, the signed action
+    sums and their images accumulate on coordinate dicts."""
+    rep = base.rep
+    alg = rep.algebra
+    n = alg.n
+    cols = [[op.column(v) for v in vs] for op in jet_ops]
+    total: dict[int, Fraction] = {}
+    for comp in compositions(s, n, len(jet_ops) - 1):
+        accumulate(total, alg.bracket([cols[comp[j]][j] for j in range(n)]))
+        inner: dict[int, Fraction] = {}
+        for k in range(n):
+            survivors = [j for j in range(n) if j != k]
+            args = [cols[comp[p + 1]][j] for p, j in enumerate(survivors)]
+            accumulate(inner, rep.act(args, vs[k]), Fraction((-1) ** (n - 1 - k)))
+        if inner:
+            accumulate(total, jet_ops[comp[0]].mul_vec(from_coords(inner, rep.dim_v)),
+                       Fraction(-1))
+    return from_coords(total, alg.dim)
+
+
 def check_rb(rep: Representation, t: Matrix) -> CheckReport:
     """The graph of T is closed under the semidirect bracket: on all basis
-    n-tuples of V, g-part = T(V-part) of the bracket of graph vectors."""
-    dg = rep.algebra.dim
+    n-tuples of V, g-part = T(V-part) of the bracket of graph vectors.
+
+    The verdict is order 0 of the jet residual; both sides are read off the
+    bracket of graph vectors at the first tuple where it fails."""
     op = RBOperator(rep, t)
-    sd = semidirect_product(rep)
     for vs in itertools.combinations(range(rep.dim_v), rep.n):
-        b = sd.bracket([op.graph(v) for v in vs])
-        lhs, rhs = b[:dg], t.mul_vec(b[dg:])
-        if lhs != rhs:
-            return CheckReport(False, witness=vs, lhs=lhs, rhs=rhs,
+        if not viszero(_coefficient_residual([t], op, 0, vs)):
+            b = semidirect_product(rep).bracket([op.graph(v) for v in vs])
+            dg = rep.algebra.dim
+            return CheckReport(False, witness=vs, lhs=b[:dg], rhs=t.mul_vec(b[dg:]),
                                detail="operator identity fails")
     return CheckReport(True)
 
@@ -220,15 +250,25 @@ def induced_bracket(t: RBOperator) -> NLieAlgebra:
 
 def operator_rep(t: RBOperator) -> Representation:
     """ρ_T on g: ρ_T(u_1..u_{n-1})x is the twist of the semidirect bracket of
-    the graph vectors of the u_i with (x, 0).  Cached as `t.induced_rep`."""
+    the graph vectors of the u_i with (x, 0), that is
+    [Tu_1..Tu_{n-1}, x] − T Σᵢ (−1)^{n−1−i} ρ(Tu_1..T̂uᵢ..Tu_{n-1}, x)uᵢ; the
+    leaves with two V indices, zero in g ⋉ V, are never formed.  Cached as
+    `t.induced_rep`."""
     rep = t.rep
-    dg, dv = rep.algebra.dim, rep.dim_v
+    alg = rep.algebra
+    n, dg, dv = alg.n, alg.dim, rep.dim_v
     base = induced_bracket(t)
-    sd = semidirect_product(rep)
+    images = [t.matrix.column(u) for u in range(dv)]
     action = {}
-    for block in blocks_of(dv, rep.n - 1):
-        graphs = [t.graph(u) for u in block]
-        cols = [t.twist(sd.bracket([*graphs, x])) for x in range(dg)]
+    for block in blocks_of(dv, n - 1):
+        tus = [images[u] for u in block]
+        cols = []
+        for x in range(dg):
+            inner: dict[int, Fraction] = {}
+            for i in range(n - 1):
+                accumulate(inner, rep.act([*tus[:i], *tus[i + 1:], x], block[i]),
+                           Fraction((-1) ** (n - 1 - i)))
+            cols.append(t.twist(alg.bracket([*tus, x]) + from_coords(inner, dv)))
         mat = Matrix.from_columns(cols)
         if not mat.is_zero():
             action[block] = mat
