@@ -6,7 +6,10 @@ underlying the graded bracket distributes blocks by shuffles; all signs
 come from :mod:`nlie.combinat`.  Both the differential and the graded
 bracket work from nonzero entries: the differential is built once per
 representation and degree as sparse columns, and the bracket composes the
-nonzero entries of its two arguments into a sparse table.
+nonzero entries of its two arguments into a sparse table.  The bracket
+carries every integral coefficient as a plain int and every other one as a
+Fraction, so its arithmetic stays exact; the table it returns holds
+Fractions.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from typing import Callable, Iterable
 
 from .combinat import shuffles, sort_with_sign
 from .core import NLieAlgebra, Representation, semidirect_blockmap
-from .linalg import Matrix, Vec, basis_vec, rank
+from .linalg import _ZERO, Matrix, Vec, as_fractions, as_int, basis_vec, rank
 from .multilinear import (AnyMap, BlockMap, SpaceSpec, bidegree_of, is_zero_map,
                           iter_keys, materialize)
 
@@ -124,8 +127,7 @@ def _scatter(images: Iterable[dict], dst: list) -> Matrix:
     filled from the images' nonzero entries, which are already Fractions."""
     pos = {b: i for i, b in enumerate(dst)}
     tables = list(images)
-    zero = Fraction(0)
-    rows = [[zero] * len(tables) for _ in dst]
+    rows = [[_ZERO] * len(tables) for _ in dst]
     for j, table in enumerate(tables):
         for key, v in table.items():
             for i, x in enumerate(v):
@@ -215,7 +217,8 @@ def _compose(P: BlockMap, Q: BlockMap, sign: int, out: dict) -> None:
     P's first k−1 blocks and Q's blocks through a (k−1, q)-shuffle, then the
     re-sorted block k and the rest of P's key.  An entry of P with tail c
     puts all of P's blocks and Q's blocks through a (p, q)-shuffle, followed
-    by Q's tail.
+    by Q's tail.  Integral coefficients enter as ints, and `out`'s rows
+    start at int 0.
     """
     p, q = P.blocks, Q.blocks
     dim = P.target.dim
@@ -223,17 +226,17 @@ def _compose(P: BlockMap, Q: BlockMap, sign: int, out: dict) -> None:
     for blocks, tail, v in _basis_entries(Q):
         for c, y in enumerate(v):
             if y:
-                hits.setdefault(c, []).append((blocks, tail, y))
+                hits.setdefault(c, []).append((blocks, tail, as_int(y)))
 
     def add(key, coeff, nz):
         row = out.get(key)
         if row is None:
-            row = out[key] = [Fraction(0)] * dim
+            row = out[key] = [0] * dim
         for r, z in nz:
             row[r] += coeff * z
 
     for B, x, value in _basis_entries(P):
-        nz = [(r, z) for r, z in enumerate(value) if z]
+        nz = [(r, as_int(z)) for r, z in enumerate(value) if z]
         # Q's value inserted into block k of P
         for k in range(1, p + 1):
             base = sign * (-1) ** ((k - 1) * q)
@@ -255,7 +258,8 @@ def _compose(P: BlockMap, Q: BlockMap, sign: int, out: dict) -> None:
 
 def graded_bracket(P: AnyMap, Q: AnyMap) -> BlockMap:
     """Graded commutator P∘Q − (−1)^{pq} Q∘P of two maps from a space to
-    itself, composed from their nonzero entries.
+    itself, composed from their nonzero entries, on ints while the
+    coefficients are integral; the values returned are Fractions.
 
     A `LazyMap` argument is materialized first.  A table key that is not a
     basis key (an unsorted or repeated block, blocks of the wrong size) is
@@ -271,7 +275,7 @@ def graded_bracket(P: AnyMap, Q: AnyMap) -> BlockMap:
     _compose(P, Q, 1, out)
     _compose(Q, P, -(-1) ** (P.blocks * Q.blocks), out)
     return BlockMap(P.n, P.blocks + Q.blocks, P.source, P.target,
-                    {k: tuple(v) for k, v in out.items()})
+                    {k: as_fractions(v) for k, v in out.items()})
 
 
 def twisted_differential(pi: AnyMap, f: AnyMap) -> BlockMap:

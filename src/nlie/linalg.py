@@ -4,7 +4,10 @@ Everything here works with `fractions.Fraction` entries, so ranks, kernels
 and solutions are exact: a zero really is zero.  Matrices are stored dense,
 row-major as tuples of tuples.  Elimination is sparse and fraction-free:
 `rank`, `kernel_basis` and `solve_linear` all read one reduced echelon form
-whose rows are dicts of nonzero entries, kept as primitive integer rows.
+whose rows are dicts of nonzero entries, kept as primitive integer rows and
+eliminated shortest first.  A kernel that sums many products (the graded
+bracket) carries a coefficient as a plain int while it is integral
+(`as_int`) and hands back Fractions (`as_fractions`).
 """
 from __future__ import annotations
 
@@ -25,6 +28,17 @@ def frac(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def as_int(x):
+    """x as an int when it is integral, else x itself: exact either way, and
+    int arithmetic skips `Fraction`'s Python-level operators."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def as_fractions(v: Iterable) -> Vec:
+    """The entries of v as Fractions, with the shared zero for each zero."""
+    return tuple(Fraction(x) if x else _ZERO for x in v)
 
 
 def vector(entries: Iterable) -> Vec:
@@ -175,7 +189,7 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 def _integer_row(row: Sequence[Fraction]) -> dict[int, int]:
     """The nonzero entries of `row`, scaled to a primitive integer row."""
-    nz = {j: x for j, x in enumerate(row) if x}
+    nz = {j: x for j, x in enumerate(row) if x is not _ZERO and x}
     den = lcm(*(x.denominator for x in nz.values()))
     return _primitive({j: x.numerator * (den // x.denominator) for j, x in nz.items()})
 
@@ -201,11 +215,12 @@ def _rref(entries: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[int, 
     Returns (pivot column, row) pairs in pivot order.  Each row is a
     primitive integer dict of its nonzero entries, zero in every other pivot
     column and before its own pivot; dividing it by its pivot entry gives the
-    row of the (unique) reduced echelon form.
+    row of the (unique) reduced echelon form.  The nonzero rows are taken
+    in ascending order of nonzero count, which keeps fill-in down; the form
+    does not depend on row order, so neither does anything read from it.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for raw in entries:
-        row = _integer_row(raw)
+    for row in sorted(filter(None, map(_integer_row, entries)), key=len):
         for c in [c for c in row if c in pivots]:
             row = _eliminate(row, pivots[c], c)
         if not row:
