@@ -6,8 +6,8 @@ deformations, and arity raising.  All arithmetic is over exact rationals.
 from .linalg import Matrix, kernel_basis, rank, solve_linear, vector
 from .combinat import Shuffle, blocks_of, compositions, shuffles, sort_with_sign
 from .multilinear import (BlockMap, LazyMap, SpaceSpec, apply_map, bidegree_of,
-                          lift_map, lift_operator_map, materialize,
-                          project_operator_part, restrict_map, sum_space)
+                          lift_map, lift_operator_map, project_operator_part,
+                          restrict_map, sum_space)
 from .core import (CheckReport, NLieAlgebra, NPreLie, Representation,
                    SymplecticForm, abelian, adjoint_rep, check_filippov,
                    check_n_pre_lie, check_representation, check_symplectic,

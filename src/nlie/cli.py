@@ -19,7 +19,8 @@ from .core import (CheckReport, Representation, SymplecticForm, check_filippov,
 from .deformation import DeformationJet, extend, find_equivalence, obstruction
 from .io import Problem, ProblemFileError, emit_problem, load_problem
 from .lift import (degree0_chain_map_holds, is_admissible, is_central,
-                   operator_chain_map_holds, pair_chain_map_holds, raise_arity_rep)
+                   operator_chain_map_holds, pair_chain_map_holds, raise_arity_rep,
+                   unkilled_key)
 from .multilinear import tail_antisymmetrize
 from .rota_baxter import RBOperator, check_rb, rb_coboundary_matrix
 from .cochain import check_mc_pair, coboundary_matrix, cohomology_table
@@ -229,14 +230,11 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
     if prob.covector is None:
         raise ProblemFileError("lift needs the covector f")
     checks = []
-    admissible = is_admissible(prob.algebra, prob.covector)
-    checks.append(_bool_entry("admissible_covector", admissible))
+    bad = unkilled_key(prob.algebra, prob.covector)
+    checks.append(_bool_entry("admissible_covector", bad is None))
     report: dict[str, Any] = {"command": "lift", "checks": checks}
-    if not admissible:
-        bad = next((k for k, v in prob.algebra.structure.items()
-                    if sum((a * b for a, b in zip(prob.covector, v)), Fraction(0)) != 0), None)
-        if bad is not None:
-            checks[-1]["witness"] = _fmt_witness(bad)
+    if bad is not None:
+        checks[-1]["witness"] = _fmt_witness(bad)
         return report
     raised_rep = raise_arity_rep(prob.rep, prob.covector)
     raised_alg = raised_rep.algebra

@@ -19,9 +19,8 @@ from typing import Callable, Iterable
 
 from .combinat import shuffles, sort_with_sign
 from .core import NLieAlgebra, Representation, semidirect_blockmap
-from .linalg import _ZERO, Matrix, Vec, as_fractions, as_int, basis_vec, rank
-from .multilinear import (AnyMap, BlockMap, SpaceSpec, bidegree_of, is_zero_map,
-                          iter_keys, materialize)
+from .linalg import _ZERO, Matrix, as_fractions, as_int, basis_vec, rank
+from .multilinear import BlockMap, SpaceSpec, basis_entries, bidegree_of, iter_keys
 
 
 def _differential(rep: Representation, m: int) -> dict:
@@ -86,7 +85,7 @@ def _differential(rep: Representation, m: int) -> dict:
     return cols
 
 
-def coboundary(rep: Representation, f: AnyMap) -> BlockMap:
+def coboundary(rep: Representation, f: BlockMap) -> BlockMap:
     """The differential of an (f.blocks+1)-cochain valued in rep's module:
     the columns of rep's differential applied to f's nonzero coordinates.
     Each differential is built on first use and kept in `rep.differentials`.
@@ -103,9 +102,8 @@ def coboundary(rep: Representation, f: AnyMap) -> BlockMap:
     cols = rep.differentials.get(m)
     if cols is None:
         cols = rep.differentials[m] = _differential(rep, m)
-    table = f.table if isinstance(f, BlockMap) else materialize(f).table
     out: dict = {}
-    for key, v in table.items():
+    for key, v in f.table.items():
         for c, x in enumerate(v):
             if x:
                 for dst, r, y in cols.get((key, c), ()):
@@ -182,24 +180,6 @@ def cohomology_dim(rep: Representation, m: int) -> int:
 # the graded Lie bracket on block maps
 # ---------------------------------------------------------------------------
 
-def _basis_entries(f: BlockMap) -> list[tuple[tuple, int, Vec]]:
-    """(blocks, tail, value) of f's table entries at basis keys: `blocks`
-    strictly increasing (n−1)-tuples and one tail, indices in range.  No
-    other key is ever read by `apply_map`, so none enters a composition."""
-    span = range(f.source.dim)
-
-    def basis_block(b) -> bool:
-        return (isinstance(b, tuple) and len(b) == f.n - 1 and all(i in span for i in b)
-                and all(a < c for a, c in zip(b, b[1:])))
-
-    out = []
-    for key, v in f.table.items():
-        blocks, tail = key[:-1], key[-1]
-        if len(blocks) == f.blocks and tail in span and all(map(basis_block, blocks)):
-            out.append((blocks, tail, v))
-    return out
-
-
 def _shuffled(perm: tuple, items: tuple) -> tuple:
     """The tuple X with X[perm[t]] = items[t]."""
     out = [None] * len(items)
@@ -223,7 +203,7 @@ def _compose(P: BlockMap, Q: BlockMap, sign: int, out: dict) -> None:
     p, q = P.blocks, Q.blocks
     dim = P.target.dim
     hits: dict[int, list] = {}
-    for blocks, tail, v in _basis_entries(Q):
+    for blocks, tail, v in basis_entries(Q):
         for c, y in enumerate(v):
             if y:
                 hits.setdefault(c, []).append((blocks, tail, as_int(y)))
@@ -235,7 +215,7 @@ def _compose(P: BlockMap, Q: BlockMap, sign: int, out: dict) -> None:
         for r, z in nz:
             row[r] += coeff * z
 
-    for B, x, value in _basis_entries(P):
+    for B, x, value in basis_entries(P):
         nz = [(r, as_int(z)) for r, z in enumerate(value) if z]
         # Q's value inserted into block k of P
         for k in range(1, p + 1):
@@ -256,21 +236,18 @@ def _compose(P: BlockMap, Q: BlockMap, sign: int, out: dict) -> None:
                 add(_shuffled(perm, B + Y) + (e,), base * sgn * y, nz)
 
 
-def graded_bracket(P: AnyMap, Q: AnyMap) -> BlockMap:
+def graded_bracket(P: BlockMap, Q: BlockMap) -> BlockMap:
     """Graded commutator P∘Q − (−1)^{pq} Q∘P of two maps from a space to
     itself, composed from their nonzero entries, on ints while the
     coefficients are integral; the values returned are Fractions.
 
-    A `LazyMap` argument is materialized first.  A table key that is not a
-    basis key (an unsorted or repeated block, blocks of the wrong size) is
-    ignored.
+    A table key that is not a basis key (an unsorted or repeated block,
+    blocks of the wrong size) is ignored.
     """
     if P.source.dim != Q.source.dim or P.n != Q.n:
         raise ValueError("bracket arguments live on different spaces")
     if P.target.dim != P.source.dim or Q.target.dim != Q.source.dim:
         raise ValueError("bracket arguments must take values in their argument space")
-    P = P if isinstance(P, BlockMap) else materialize(P)
-    Q = Q if isinstance(Q, BlockMap) else materialize(Q)
     out: dict = {}
     _compose(P, Q, 1, out)
     _compose(Q, P, -(-1) ** (P.blocks * Q.blocks), out)
@@ -278,9 +255,9 @@ def graded_bracket(P: AnyMap, Q: AnyMap) -> BlockMap:
                     {k: as_fractions(v) for k, v in out.items()})
 
 
-def twisted_differential(pi: AnyMap, f: AnyMap) -> BlockMap:
+def twisted_differential(pi: BlockMap, f: BlockMap) -> BlockMap:
     """d_pi = [pi, −] for a square-zero element, which is re-validated."""
-    if not is_zero_map(graded_bracket(pi, pi)):
+    if not graded_bracket(pi, pi).is_zero():
         raise ValueError("twisting element does not square to zero")
     return graded_bracket(pi, f)
 
@@ -293,10 +270,10 @@ def check_mc_pair(alg: NLieAlgebra, rep: Representation) -> bool:
     pass; the direct checkers run only when it fails, to name the witness.
     """
     delta = semidirect_blockmap(rep)
-    return is_zero_map(graded_bracket(delta, delta))
+    return graded_bracket(delta, delta).is_zero()
 
 
-def check_bidegree_additivity(f: AnyMap, g: AnyMap) -> bool:
+def check_bidegree_additivity(f: BlockMap, g: BlockMap) -> bool:
     """Bracket of homogeneous maps is homogeneous of the summed bidegree."""
     bf = bidegree_of(f)
     bg = bidegree_of(g)

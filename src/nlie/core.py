@@ -19,7 +19,7 @@ from .combinat import blocks_of, sort_with_sign
 from .linalg import (Matrix, Vec, basis_vec, rank, solve_linear, vadd,
                      vector, viszero, vscale, vzero)
 from .multilinear import (BlockMap, Element, Key, SpaceSpec, apply_map,
-                          materialize, sum_space)
+                          split_wedges, sum_space, wedge_sums)
 
 
 @dataclass
@@ -88,7 +88,8 @@ class NLieAlgebra:
 
     def as_blockmap(self) -> BlockMap:
         """The bracket as a 1-block map, stored on every (block, tail) split."""
-        return materialize(self)
+        return BlockMap(self.n, 1, self.space, self.space,
+                        split_wedges({(w,): v for w, v in self.structure.items()}))
 
     def is_abelian(self) -> bool:
         return not self.structure
@@ -296,12 +297,8 @@ def pre_lie_from_table(n: int, dim: int,
 
 
 def sub_adjacent(p: NPreLie) -> NLieAlgebra:
-    structure = {}
-    for key in itertools.combinations(range(p.dim), p.n):
-        v = p.commutator_bracket(list(key))
-        if not viszero(v):
-            structure[key] = v
-    return NLieAlgebra(p.n, p.space, structure)
+    """The bracket Σᵢ (−1)^(n−1−i) x₁..x̂ᵢ..xₙ·xᵢ: the wedge sums of the product."""
+    return NLieAlgebra(p.n, p.space, {w: v for (w,), v in wedge_sums(p.product).items()})
 
 
 def left_mult_rep(p: NPreLie) -> Representation:

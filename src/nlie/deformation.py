@@ -9,7 +9,6 @@ in its n arguments from V, so it is evaluated on increasing V-tuples only.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -18,13 +17,12 @@ from typing import Optional
 
 from .combinat import blocks_of, compositions
 from .core import CheckReport
-from .linalg import Matrix, solve_linear, viszero, vscale
-from .multilinear import BlockMap, SpaceSpec
-from .rota_baxter import (DerivedContext, RBOperator, Wedge, _coefficient_residual,
-                          cochain_to_vector, derived_bracket,
-                          matrix_to_cochain, rb_coboundary,
-                          rb_coboundary_matrix, vector_to_matrix_cochain,
-                          wedge_coboundary_matrix)
+from .linalg import Matrix, solve_linear
+from .multilinear import BlockMap, SpaceSpec, split_wedges
+from .rota_baxter import (DerivedContext, RBOperator, Wedge, cochain_to_vector,
+                          derived_bracket, matrix_to_cochain, nonzero_residuals,
+                          rb_coboundary, rb_coboundary_matrix,
+                          vector_to_matrix_cochain, wedge_coboundary_matrix)
 
 
 @dataclass(frozen=True)
@@ -61,12 +59,9 @@ class DeformationJet:
 def _check_one_order(ops: list[Matrix], base: RBOperator, s: int) -> CheckReport:
     """The order-s coefficient equation of the jet operators `ops` on the
     increasing basis tuples of V."""
-    n, dv = base.algebra.n, base.rep.dim_v
-    for vs in itertools.combinations(range(dv), n):
-        res = _coefficient_residual(ops, base, s, vs)
-        if not viszero(res):
-            return CheckReport(False, witness=(s, vs), lhs=res,
-                               detail=f"order-{s} coefficient equation fails")
+    for vs, res in nonzero_residuals(ops, base, s):
+        return CheckReport(False, witness=(s, vs), lhs=res,
+                           detail=f"order-{s} coefficient equation fails")
     return CheckReport(True)
 
 
@@ -115,23 +110,14 @@ def obstruction(jet: DeformationJet) -> ObstructionClass:
     """The degree-2 cochain blocking extension, with its cocycle property.
 
     θ is the order-(m+1) coefficient residual, totally antisymmetric in its
-    n arguments from V.  It is evaluated once per increasing tuple vs, and
-    the value fills each key (vs without vs[k], vs[k]) with the sign
-    (−1)^(n−1−k) of moving vs[k] to the tail.  A key whose tail repeats a
-    block index stays absent: its residual is zero.
+    n arguments from V.  It is evaluated once per increasing tuple vs and
+    split over the keys (vs without vs[k], vs[k]) by sign.  A key whose tail
+    repeats a block index stays absent: its residual is zero.
     """
     base = jet.base
     n, dg, dv = base.algebra.n, base.algebra.dim, base.rep.dim_v
-    ops = jet.operators()
-    m = jet.order
-    table = {}
-    for vs in itertools.combinations(range(dv), n):
-        val = _coefficient_residual(ops, base, m + 1, vs)
-        if viszero(val):
-            continue
-        neg = vscale(val, Fraction(-1))
-        for k in range(n):
-            table[(vs[:k] + vs[k + 1:], vs[k])] = neg if (n - 1 - k) % 2 else val
+    residuals = nonzero_residuals(jet.operators(), base, jet.order + 1)
+    table = split_wedges({(vs,): val for vs, val in residuals})
     theta = BlockMap(n, 1, SpaceSpec(dv, "V"), SpaceSpec(dg, "g"), table)
     checked = rb_coboundary(base, theta).is_zero()
     return ObstructionClass(jet, theta, checked)

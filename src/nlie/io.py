@@ -69,16 +69,25 @@ def _indices(raw: Any, size: int, dim: int, where: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _claim(seen: dict, key: Any, where: str, what: str) -> None:
+    """Record that `where` gives `key`; a second entry for it is an error."""
+    if key in seen:
+        raise ProblemFileError(f"{where}: duplicate {what}, already given at {seen[key]}")
+    seen[key] = where
+
+
 def _sparse_vec(raw: Any, dim: int, where: str) -> Vec:
     if not isinstance(raw, dict):
         raise ProblemFileError(f"{where}: expected an index->rational map")
     out = [Fraction(0)] * dim
+    seen: dict = {}
     for k, v in raw.items():
         if not _INDEX_KEY.fullmatch(k):
             raise ProblemFileError(f"{where}: bad index key {k!r}")
         i = int(k)
         if not 1 <= i <= dim:
             raise ProblemFileError(f"{where}: index {i} out of range 1..{dim}")
+        _claim(seen, i, f"{where}.value[{k!r}]", f"coordinate {i}")
         out[i - 1] = _rat(v, where)
     return tuple(out)
 
@@ -92,13 +101,6 @@ def _objects(raw: Any, where: str) -> Iterator[tuple[str, dict]]:
         if not isinstance(item, dict):
             raise ProblemFileError(f"{loc}: expected an object")
         yield loc, item
-
-
-def _claim(seen: dict, key: Any, where: str, what: str) -> None:
-    """Record that `where` gives `key`; a second entry for it is an error."""
-    if key in seen:
-        raise ProblemFileError(f"{where}: duplicate {what}, already given at {seen[key]}")
-    seen[key] = where
 
 
 def _matrix(raw: Any, rows: int, cols: int, where: str) -> Matrix:
@@ -163,7 +165,7 @@ def _parse_cochain(raw: dict, n: int, dim_g: int, dim_v: int,
             raise ProblemFileError(f"{where}: tail out of range")
         key = key_blocks + (tail - 1,)
         _claim(seen, key, loc, "(blocks, tail)")
-        table[key] = _sparse_vec(e.get("value", {}), tdim, where)
+        table[key] = _sparse_vec(e.get("value", {}), tdim, loc)
     return space, BlockMap(n, blocks, src, tgt, table)
 
 

@@ -18,21 +18,24 @@ from typing import Optional, Sequence, Union
 from .combinat import blocks_of, sort_with_sign
 from .core import NLieAlgebra, Representation, semidirect_product
 from .linalg import (Matrix, Vec, accumulate, basis_vec, from_coords, kernel_basis,
-                     vadd, vector, viszero, vscale, vzero)
+                     vector, viszero, vzero)
 from .multilinear import BlockMap, iter_keys
 from .rota_baxter import RBOperator, Wedge, rb_coboundary
 from .cochain import coboundary
 
 
-def is_admissible(alg: NLieAlgebra, f: Sequence) -> bool:
-    """Whether the covector kills every bracket value."""
+def unkilled_key(alg: NLieAlgebra, f: Sequence) -> Optional[tuple[int, ...]]:
+    """The first structure key whose value the covector does not kill, or None."""
     fv = vector(f)
     if len(fv) != alg.dim:
         raise ValueError("covector length mismatch")
-    for val in alg.structure.values():
-        if sum((a * b for a, b in zip(fv, val)), Fraction(0)) != 0:
-            return False
-    return True
+    return next((key for key, val in alg.structure.items()
+                 if sum((a * b for a, b in zip(fv, val)), Fraction(0)) != 0), None)
+
+
+def is_admissible(alg: NLieAlgebra, f: Sequence) -> bool:
+    """Whether the covector kills every bracket value."""
+    return unkilled_key(alg, f) is None
 
 
 def admissible_covectors(alg: NLieAlgebra) -> list[Vec]:
@@ -45,24 +48,20 @@ def admissible_covectors(alg: NLieAlgebra) -> list[Vec]:
 
 
 def raise_arity(alg: NLieAlgebra, f: Sequence) -> NLieAlgebra:
-    """The (n+1)-ary bracket weighted by an admissible covector."""
+    """The (n+1)-ary bracket Σᵢ (−1)^i f(xᵢ)[x₀..x̂ᵢ..xₙ] of an admissible
+    covector: each bracket value wedged with f's nonzero coordinates."""
     fv = vector(f)
     if not is_admissible(alg, fv):
         raise ValueError("covector does not annihilate the bracket")
-    n, d = alg.n, alg.dim
-    structure = {}
-    for key in itertools.combinations(range(d), n + 1):
-        val = vzero(d)
-        for i in range(n + 1):
-            c = fv[key[i]]
-            if c == 0:
-                continue
-            rest = key[:i] + key[i + 1:]
-            val = vadd(val, vscale(alg.bracket(list(rest)),
-                                   c * Fraction((-1) ** i)))
-        if not viszero(val):
-            structure[key] = val
-    return NLieAlgebra(n + 1, alg.space, structure)
+    support = [(j, c) for j, c in enumerate(fv) if c]
+    sums: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for w, val in alg.structure.items():
+        for j, c in support:
+            s, key = sort_with_sign((j,) + w)
+            if s:
+                accumulate(sums.setdefault(key, {}), val, c * s)
+    structure = {key: from_coords(coords, alg.dim) for key, coords in sums.items()}
+    return NLieAlgebra(alg.n + 1, alg.space, structure)
 
 
 def raise_arity_rep(rep: Representation, f: Sequence) -> Representation:

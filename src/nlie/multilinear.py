@@ -11,13 +11,14 @@ followed by one tail index, and its `target` (for the zero vector).  Each
 vector argument becomes its nonzero (index, coefficient) pairs; one
 product over those lists gives the leaves, each block of a leaf is sorted
 with its sign, and each key is looked up once with the summed coefficient
-of its leaves.  The key enumerations
-(:func:`domain_keys`, :func:`materialize`) also read `n`, `blocks` and
-`source`.  :class:`BlockMap` and :class:`LazyMap` (the same contract backed
-by a memoized callable, for a map known only key by key) satisfy all of
-it, as does :class:`nlie.core.NLieAlgebra`; :class:`nlie.core.Representation`
-has no single source space and satisfies the evaluation part.  So brackets
-and actions evaluate like any other cochain.
+of its leaves.  :class:`BlockMap` satisfies that contract, as do
+:class:`nlie.core.NLieAlgebra` and :class:`nlie.core.Representation`, so
+brackets and actions evaluate like any other cochain.
+
+Every other reader takes a table's entries at basis keys
+(:func:`basis_entries`), never the whole domain, and a table antisymmetric
+in its last block and tail is built from its increasing wedges
+(:func:`wedge_sums`, :func:`split_wedges`).
 
 A map whose arguments come from one summand of g ⊕ V and whose values lie
 in one summand enters the sum space through :func:`lift_map` and leaves it
@@ -111,7 +112,8 @@ class BlockMap:
 
 
 class LazyMap:
-    """BlockMap contract backed by a per-key memoized function."""
+    """The `value(key)` contract backed by a per-key memoized function; no
+    engine path builds one (kept for perfbench/tracer.py and the tests)."""
 
     __slots__ = ("n", "blocks", "source", "target", "_fn", "_cache")
 
@@ -132,9 +134,6 @@ class LazyMap:
         return v
 
 
-AnyMap = Union[BlockMap, LazyMap]
-
-
 def iter_keys(dim: int, block_size: int, blocks: int) -> Iterator[Key]:
     """Lexicographic enumeration of the domain basis keys."""
     block_choices = tuple(itertools.combinations(range(dim), block_size))
@@ -143,8 +142,49 @@ def iter_keys(dim: int, block_size: int, blocks: int) -> Iterator[Key]:
             yield bs + (tail,)
 
 
-def domain_keys(m: AnyMap) -> Iterator[Key]:
-    return iter_keys(m.source.dim, m.n - 1, m.blocks)
+def basis_entries(f: BlockMap) -> list[tuple[tuple, int, Vec]]:
+    """(blocks, tail, value) of f's table entries at basis keys: `blocks`
+    strictly increasing (n−1)-tuples and one tail, indices in range.  No
+    other key is ever read by `apply_map`, so no other reader takes one."""
+    span = range(f.source.dim)
+
+    def basis_block(b) -> bool:
+        return (isinstance(b, tuple) and len(b) == f.n - 1 and all(i in span for i in b)
+                and all(a < c for a, c in zip(b, b[1:])))
+
+    out = []
+    for key, v in f.table.items():
+        blocks, tail = key[:-1], key[-1]
+        if len(blocks) == f.blocks and tail in span and all(map(basis_block, blocks)):
+            out.append((blocks, tail, v))
+    return out
+
+
+def split_wedges(wedges: Mapping[tuple, Vec]) -> dict[Key, Vec]:
+    """The table of a map totally antisymmetric in its last block and tail,
+    from its values on increasing wedges: a value at front blocks F followed
+    by an increasing n-tuple W goes to the n keys F + (W∖W_k, W_k), with the
+    sign (−1)^(n−1−k) of moving W_k to the tail."""
+    table = {}
+    for key, v in wedges.items():
+        *front, w = key
+        n = len(w)
+        neg = vscale(v, Fraction(-1))
+        for k in range(n):
+            table[(*front, w[:k] + w[k + 1:], w[k])] = neg if (n - 1 - k) % 2 else v
+    return table
+
+
+def wedge_sums(f: BlockMap) -> dict[tuple, Vec]:
+    """f's basis entries added onto the increasing wedge of their last block
+    and tail: (F, B, t) adds s·value at F + (W,), where (s, W) =
+    sort_with_sign(B + (t,)).  For f with blocks; a sum may be zero."""
+    sums: dict[tuple, dict[int, Fraction]] = {}
+    for blocks, tail, v in basis_entries(f):
+        s, w = sort_with_sign(blocks[-1] + (tail,))
+        if s:
+            accumulate(sums.setdefault(blocks[:-1] + (w,), {}), v, Fraction(s))
+    return {key: from_coords(coords, f.target.dim) for key, coords in sums.items()}
 
 
 # the coefficient of a basis-index argument: a leaf multiplies only the
@@ -171,7 +211,7 @@ def _sorted_key(blocks: Sequence[Sequence[int]], tail: int) -> tuple[int, Option
     return sign, tuple(key)
 
 
-def apply_map(m: AnyMap, blocks: Sequence[Sequence[Element]], tail: Element) -> Vec:
+def apply_map(m, blocks: Sequence[Sequence[Element]], tail: Element) -> Vec:
     """Evaluate with full multilinear/antisymmetric semantics.
 
     Block elements and the tail may be basis indices or coefficient vectors.
@@ -210,21 +250,6 @@ def apply_map(m: AnyMap, blocks: Sequence[Sequence[Element]], tail: Element) -> 
     return from_coords(acc, m.target.dim)
 
 
-def materialize(m: AnyMap) -> BlockMap:
-    table = {}
-    for key in domain_keys(m):
-        v = m.value(key)
-        if not viszero(v):
-            table[key] = v
-    return BlockMap(m.n, m.blocks, m.source, m.target, table)
-
-
-def is_zero_map(m: AnyMap) -> bool:
-    if isinstance(m, BlockMap):
-        return m.is_zero()
-    return all(viszero(m.value(k)) for k in domain_keys(m))
-
-
 # ---------------------------------------------------------------------------
 # the direct sum g ⊕ V (g-basis first): one lift from a summand, one restriction
 # ---------------------------------------------------------------------------
@@ -257,16 +282,17 @@ def lift_map(f: BlockMap, space: SpaceSpec, args: str, values: str) -> BlockMap:
     return BlockMap(f.n, f.blocks, space, space, table)
 
 
-def restrict_map(f: AnyMap, args: str, values: str) -> BlockMap:
+def restrict_map(f: BlockMap, args: str, values: str) -> BlockMap:
     """The component of a sum-space map on arguments from summand `args`,
     with values read in summand `values`; it undoes :func:`lift_map`."""
     a_off, a_dim = _summand(f.source, args)
     v_off, v_dim = _summand(f.source, values)
+    span = range(a_off, a_off + a_dim)
     table = {}
-    for key in iter_keys(a_dim, f.n - 1, f.blocks):
-        v = f.value(_shift(key, a_off))[v_off:v_off + v_dim]
-        if not viszero(v):
-            table[key] = v
+    for blocks, tail, value in basis_entries(f):
+        v = value[v_off:v_off + v_dim]
+        if tail in span and all(i in span for blk in blocks for i in blk) and not viszero(v):
+            table[_shift(blocks + (tail,), -a_off)] = v
     return BlockMap(f.n, f.blocks, SpaceSpec(a_dim, args), SpaceSpec(v_dim, values), table)
 
 
@@ -275,38 +301,28 @@ def lift_operator_map(p: BlockMap, dim_g: int) -> BlockMap:
     return lift_map(p, sum_space(dim_g, p.source.dim), "V", "g")
 
 
-def project_operator_part(f: AnyMap) -> BlockMap:
+def project_operator_part(f: BlockMap) -> BlockMap:
     """Projection onto the abelian subalgebra of operator cochains."""
     return restrict_map(f, "V", "g")
 
 
-def tail_antisymmetrize(p: AnyMap) -> BlockMap:
+def tail_antisymmetrize(p: BlockMap) -> BlockMap:
     """Project onto maps antisymmetric between the last block and the tail.
 
     The block-skew model imposes no constraint there; this is the projection
     onto the honest wedge-tail subspace, which the differential preserves
-    and on which the arity-raising chain maps hold.
+    and on which the arity-raising chain maps hold: 1/n times the wedge sums
+    of p, split back over the last block and the tail.
     """
     n, b = p.n, p.blocks
     if b == 0:
-        return materialize(p)
-    d = p.source.dim
-    table = {}
-    for key in iter_keys(d, n - 1, b):
-        front = list(key[:-2])
-        seq = key[-2] + (key[-1],)
-        total = vzero(p.target.dim)
-        for j in range(n):
-            rest = seq[:j] + seq[j + 1:]
-            val = apply_map(p, front + [list(rest)], seq[j])
-            total = vadd(total, vscale(val, Fraction((-1) ** (n - 1 - j))))
-        total = vscale(total, Fraction(1, n))
-        if not viszero(total):
-            table[key] = total
+        table = {(tail,): v for _, tail, v in basis_entries(p)}
+    else:
+        table = split_wedges({k: vscale(v, Fraction(1, n)) for k, v in wedge_sums(p).items()})
     return BlockMap(n, b, p.source, p.target, table)
 
 
-def bidegree_of(f: AnyMap) -> Optional[tuple[int, int]]:
+def bidegree_of(f: BlockMap) -> Optional[tuple[int, int]]:
     """The k|l bidegree of a homogeneous sum-space map, or None.
 
     Convention: inputs with k+1 g-slots and l V-slots land in g, inputs with
@@ -317,11 +333,8 @@ def bidegree_of(f: AnyMap) -> Optional[tuple[int, int]]:
     if split is None:
         raise ValueError("bidegree needs a direct-sum source space")
     candidate: Optional[tuple[int, int]] = None
-    for key in domain_keys(f):
-        v = f.value(key)
-        if viszero(v):
-            continue
-        slots = [i for blk in key[:-1] for i in blk] + [key[-1]]
+    for blocks, tail, v in basis_entries(f):
+        slots = [i for blk in blocks for i in blk] + [tail]
         ng = sum(1 for i in slots if i < split)
         nv = len(slots) - ng
         cands = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .combinat import blocks_of, compositions
 from .core import (CheckReport, NLieAlgebra, NPreLie, Representation,
@@ -117,6 +117,15 @@ def _coefficient_residual(jet_ops: Sequence[Matrix], base: RBOperator, s: int,
     return from_coords(total, alg.dim)
 
 
+def nonzero_residuals(jet_ops: Sequence[Matrix], base: RBOperator, s: int) -> Iterator:
+    """(vs, residual) at each increasing n-tuple vs of V, in lexicographic
+    order, where the order-s coefficient residual does not vanish."""
+    for vs in itertools.combinations(range(base.rep.dim_v), base.algebra.n):
+        res = _coefficient_residual(jet_ops, base, s, vs)
+        if not viszero(res):
+            yield vs, res
+
+
 def check_rb(rep: Representation, t: Matrix) -> CheckReport:
     """The graph of T is closed under the semidirect bracket: on all basis
     n-tuples of V, g-part = T(V-part) of the bracket of graph vectors.
@@ -124,12 +133,11 @@ def check_rb(rep: Representation, t: Matrix) -> CheckReport:
     The verdict is order 0 of the jet residual; both sides are read off the
     bracket of graph vectors at the first tuple where it fails."""
     op = RBOperator(rep, t)
-    for vs in itertools.combinations(range(rep.dim_v), rep.n):
-        if not viszero(_coefficient_residual([t], op, 0, vs)):
-            b = semidirect_product(rep).bracket([op.graph(v) for v in vs])
-            dg = rep.algebra.dim
-            return CheckReport(False, witness=vs, lhs=b[:dg], rhs=t.mul_vec(b[dg:]),
-                               detail="operator identity fails")
+    for vs, _ in nonzero_residuals([t], op, 0):
+        b = semidirect_product(rep).bracket([op.graph(v) for v in vs])
+        dg = rep.algebra.dim
+        return CheckReport(False, witness=vs, lhs=b[:dg], rhs=t.mul_vec(b[dg:]),
+                           detail="operator identity fails")
     return CheckReport(True)
 
 

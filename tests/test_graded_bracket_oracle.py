@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import broken_action, broken_algebra, random_blockmap
+from conftest import broken_action, broken_algebra, materialize, random_blockmap
 
 from nlie import BlockMap, LazyMap, check_filippov, check_representation
 from nlie.cochain import check_mc_pair, graded_bracket
@@ -19,13 +19,12 @@ from nlie.combinat import shuffles
 from nlie.core import semidirect_blockmap
 from nlie.linalg import Vec, vadd, viszero, vscale, vsub, vzero
 from nlie.lift import admissible_covectors, lift_operator
-from nlie.multilinear import (AnyMap, apply_map, materialize,
-                              project_operator_part)
+from nlie.multilinear import apply_map, project_operator_part
 from nlie.rota_baxter import (DerivedContext, derived_bracket,
                               matrix_to_cochain)
 
 
-def _circ(P: AnyMap, Q: AnyMap, key) -> Vec:
+def _circ(P, Q, key) -> Vec:
     p, q = P.blocks, Q.blocks
     n = P.n
     X = key[:-1]
@@ -63,7 +62,7 @@ def _circ(P: AnyMap, Q: AnyMap, key) -> Vec:
     return total
 
 
-def oracle_graded_bracket(P: AnyMap, Q: AnyMap) -> LazyMap:
+def oracle_graded_bracket(P, Q) -> LazyMap:
     """Graded commutator P∘Q − (−1)^{pq} Q∘P, evaluated lazily."""
     if P.source.dim != Q.source.dim or P.n != Q.n:
         raise ValueError("bracket arguments live on different spaces")
@@ -80,7 +79,7 @@ def oracle_derived_bracket(ctx: DerivedContext, cochains) -> BlockMap:
     acc = ctx.delta
     for c in cochains:
         acc = oracle_graded_bracket(acc, ctx.lift(c))
-    return project_operator_part(acc)
+    return project_operator_part(materialize(acc))
 
 
 def random_rational_map(rng: random.Random, n: int, blocks: int, d: int,
@@ -91,7 +90,7 @@ def random_rational_map(rng: random.Random, n: int, blocks: int, d: int,
     return BlockMap(n, blocks, f.source, f.target, table)
 
 
-def assert_equals_oracle(P: AnyMap, Q: AnyMap) -> BlockMap:
+def assert_equals_oracle(P: BlockMap, Q: BlockMap) -> BlockMap:
     br = graded_bracket(P, Q)
     assert isinstance(br, BlockMap)
     assert br == materialize(oracle_graded_bracket(P, Q)), (P, Q)
@@ -132,13 +131,14 @@ def test_non_canonical_keys_are_ignored():
 
 
 def test_lazy_inputs_equal_the_oracle():
+    """The oracle reads its arguments key by key, nested brackets included;
+    the sparse bracket takes their tables."""
     rng = random.Random(6)
     P, Q, R = (random_rational_map(rng, 2, b, 3, 0.6) for b in (1, 0, 1))
     lazy = LazyMap(Q.n, Q.blocks, Q.source, Q.target, Q.value)
-    assert_equals_oracle(P, lazy)
-    assert_equals_oracle(lazy, R)
-    inner = oracle_graded_bracket(Q, R)
-    assert graded_bracket(P, inner) == \
+    assert graded_bracket(P, Q) == materialize(oracle_graded_bracket(P, lazy))
+    assert graded_bracket(Q, R) == materialize(oracle_graded_bracket(lazy, R))
+    assert graded_bracket(P, graded_bracket(Q, R)) == \
         materialize(oracle_graded_bracket(P, oracle_graded_bracket(Q, R)))
 
 

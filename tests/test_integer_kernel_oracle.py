@@ -19,12 +19,12 @@ from conftest import broken_action, broken_algebra, random_homogeneous
 
 from nlie import BlockMap, Matrix, NLieAlgebra, Representation, SpaceSpec, adjoint_rep
 from nlie import linalg, rota_baxter
-from nlie.cochain import (_basis_entries, _shuffled, check_mc_pair, coboundary,
-                          coboundary_matrix, graded_bracket)
+from nlie.cochain import (_shuffled, check_mc_pair, coboundary, coboundary_matrix,
+                          graded_bracket)
 from nlie.combinat import shuffles, sort_with_sign
 from nlie.core import semidirect_blockmap
 from nlie.linalg import _eliminate, _rref, kernel_basis, solve_linear
-from nlie.multilinear import iter_keys, sum_space
+from nlie.multilinear import basis_entries, iter_keys, sum_space
 from nlie.rota_baxter import (DerivedContext, RBOperator, derived_bracket,
                               matrix_to_cochain, rb_coboundary_matrix)
 
@@ -44,7 +44,7 @@ def oracle_compose(P: BlockMap, Q: BlockMap, sign: int, out: dict) -> None:
     p, q = P.blocks, Q.blocks
     dim = P.target.dim
     hits: dict[int, list] = {}
-    for blocks, tail, v in _basis_entries(Q):
+    for blocks, tail, v in basis_entries(Q):
         for c, y in enumerate(v):
             if y:
                 hits.setdefault(c, []).append((blocks, tail, y))
@@ -56,7 +56,7 @@ def oracle_compose(P: BlockMap, Q: BlockMap, sign: int, out: dict) -> None:
         for r, z in nz:
             row[r] += coeff * z
 
-    for B, x, value in _basis_entries(P):
+    for B, x, value in basis_entries(P):
         nz = [(r, z) for r, z in enumerate(value) if z]
         # Q's value inserted into block k of P
         for k in range(1, p + 1):

@@ -115,6 +115,25 @@ def test_duplicate_cochain_entry_rejected(tmp_path, capsys):
     assert "cochains[0].entries[1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, payload, where", [
+    ("verify", {**NILP_FILE, "g": {"dim": 4, "bracket": [
+        {"args": [1, 2, 3], "value": {"4": "1", "04": "0"}}]}},
+     "g.bracket[0].value['04']: duplicate coordinate 4, already given at "
+     "g.bracket[0].value['4']"),
+    ("lift", {**ONE_BLOCK_FILE, "cochains": [{"space": "pair", "degree": 2, "entries": [
+        {"blocks": [[1, 2]], "tail": 3, "value": {"1": "1", "001": "-1"}}]}]},
+     "cochains[0].entries[0].value['001']: duplicate coordinate 1, already given at "
+     "cochains[0].entries[0].value['1']"),
+], ids=["bracket", "cochain"])
+def test_duplicate_coordinate_rejected(tmp_path, capsys, command, payload, where):
+    """"4" and "04" name one coordinate; the later value would silently win
+    (here it would zero the only bracket)."""
+    with pytest.raises(ProblemFileError, match=re.escape(where)):
+        parse_problem(json.dumps(payload))
+    assert main([command, write(tmp_path, "p.json", payload)]) == 2
+    assert where in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("old, new, key", [
     ('{"schema_version"', '{"n": 2, "schema_version"', "n"),       # n = 3 would win
     ('"value": {"4": "1"}', '"value": {"4": "1", "4": "0"}', "4"),  # 0 would win

@@ -13,12 +13,11 @@ from fractions import Fraction
 from conftest import broken_action, random_matrix
 
 from nlie import Matrix, adjoint_rep
-from nlie.deformation import (DeformationJet, ObstructionClass,
-                              _coefficient_residual, obstruction)
+from nlie.deformation import DeformationJet, ObstructionClass, obstruction
 from nlie.linalg import kernel_basis, viszero
 from nlie.multilinear import BlockMap, SpaceSpec, iter_keys
-from nlie.rota_baxter import (RBOperator, rb_coboundary, rb_coboundary_matrix,
-                              vector_to_matrix_cochain)
+from nlie.rota_baxter import (RBOperator, _coefficient_residual, rb_coboundary,
+                              rb_coboundary_matrix, vector_to_matrix_cochain)
 
 OBSTRUCTED_SL2_T1 = Matrix([[2, -1, -1], [2, -1, 2], [-2, -2, 0]])
 

@@ -23,11 +23,12 @@ from nlie import Matrix, Representation, adjoint_rep
 from nlie.cochain import coboundary
 from nlie.combinat import blocks_of, compositions, sort_with_sign
 from nlie.core import CheckReport, semidirect_product
-from nlie.deformation import DeformationJet, _coefficient_residual
+from nlie.deformation import DeformationJet
 from nlie.lift import induced_covector, lift_cochain
 from nlie.linalg import Vec, vadd, vector, viszero, vscale, vsub, vzero
 from nlie.multilinear import BlockMap, LazyMap, SpaceSpec, apply_map, iter_keys
-from nlie.rota_baxter import RBOperator, check_rb, induced_bracket, operator_rep
+from nlie.rota_baxter import (RBOperator, _coefficient_residual, check_rb, induced_bracket,
+                              operator_rep)
 
 _ZERO = Fraction(0)
 
