@@ -29,8 +29,8 @@ def _differential(rep: Representation, m: int) -> dict:
     Maps each source coordinate (key, c) to the nonzero (destination key,
     coordinate, coefficient) entries of its image.  One pass over the
     destination keys expands every term over coordinates: the bracket terms
-    act on keys and keep the coordinate, the two action terms read the
-    action matrices through `rep.act`.
+    act on keys and keep the coordinate, the two action terms read the entries
+    of `rep.action` at the sorted block, with the sign of sorting it.
     """
     alg = rep.algebra
     n, d, dv = alg.n, alg.dim, rep.dim_v
@@ -44,7 +44,10 @@ def _differential(rep: Representation, m: int) -> dict:
     @cache
     def action(args):
         """Nonzero entries (r, c, x) of the action matrix of args."""
-        return [(r, c, x) for c in range(dv) for r, x in enumerate(rep.act(args, c)) if x]
+        s, block = sort_with_sign(args)
+        mat = rep.action.get(block) if s else None
+        cols = [mat.column(c) for c in range(dv)] if mat else []
+        return [(r, c, s * x) for c, col in enumerate(cols) for r, x in enumerate(col) if x]
 
     def add(src, c, dst, r, x):
         col = entries.setdefault((src, c), {})

@@ -6,7 +6,8 @@ Check reports carry the first violating basis tuple; `check_filippov` adds
 both sides of the failed identity.  A representation is checked as the
 fundamental identity of g ⋉ V, and its report names only the g-tuples.
 g ⋉ V is written straight from the pair's tables (:func:`semidirect_product`),
-and every construction on a pair reads its one bracket.
+and every construction on a pair reads its one bracket; every representation is
+built from its column table (:meth:`Representation.from_columns`).
 """
 from __future__ import annotations
 
@@ -15,11 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .combinat import blocks_of, sort_with_sign
+from .combinat import sort_with_sign
 from .linalg import (Matrix, Vec, basis_vec, rank, solve_linear, vadd,
                      vector, viszero, vscale, vzero)
 from .multilinear import (BlockMap, Element, Key, SpaceSpec, apply_map,
-                          split_wedges, sum_space, wedge_sums)
+                          basis_entries, split_wedges, sum_space, wedge_sums)
 
 
 @dataclass
@@ -165,6 +166,17 @@ class Representation:
     def target(self) -> SpaceSpec:
         return self.module
 
+    @classmethod
+    def from_columns(cls, algebra: NLieAlgebra, module: SpaceSpec,
+                     columns: Mapping[Key, Vec]) -> "Representation":
+        """The inverse of :meth:`value`: each (block, u) gives column u of the
+        block's matrix, and a column not given is zero."""
+        dv = module.dim
+        blocks: dict[tuple[int, ...], list[Vec]] = {}
+        for (block, u), col in columns.items():
+            blocks.setdefault(block, [vzero(dv)] * dv)[u] = col
+        return cls(algebra, module, {b: Matrix.from_columns(cols) for b, cols in blocks.items()})
+
     def value(self, key: Key) -> Vec:
         """Column u of the matrix of a sorted block, for the key (block, u)."""
         block, u = key
@@ -190,13 +202,8 @@ def zero_representation(alg: NLieAlgebra, dim_v: int) -> Representation:
 
 
 def adjoint_rep(alg: NLieAlgebra) -> Representation:
-    action = {}
-    for block in blocks_of(alg.dim, alg.n - 1):
-        cols = [alg.bracket([*block, j]) for j in range(alg.dim)]
-        mat = Matrix.from_columns(cols) if alg.dim else Matrix.zero(0, 0)
-        if not mat.is_zero():
-            action[block] = mat
-    return Representation(alg, SpaceSpec(alg.dim, "g"), action)
+    """ad(block) x = [block, x]: column x of a block is the bracket's entry (block, x)."""
+    return Representation.from_columns(alg, SpaceSpec(alg.dim, "g"), alg.as_blockmap().table)
 
 
 def coadjoint_rep(alg: NLieAlgebra) -> Representation:
@@ -303,14 +310,8 @@ def sub_adjacent(p: NPreLie) -> NLieAlgebra:
 
 def left_mult_rep(p: NPreLie) -> Representation:
     """Left multiplication as a representation of the sub-adjacent algebra."""
-    alg = sub_adjacent(p)
-    action = {}
-    for block in blocks_of(p.dim, p.n - 1):
-        cols = [p.prod([*block, j]) for j in range(p.dim)]
-        mat = Matrix.from_columns(cols)
-        if not mat.is_zero():
-            action[block] = mat
-    return Representation(alg, p.space, action)
+    columns = {blocks + (tail,): v for blocks, tail, v in basis_entries(p.product)}
+    return Representation.from_columns(sub_adjacent(p), p.space, columns)
 
 
 def check_n_pre_lie(p: NPreLie) -> CheckReport:

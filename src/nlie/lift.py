@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .combinat import blocks_of, sort_with_sign
-from .core import NLieAlgebra, Representation, semidirect_product
+from .core import NLieAlgebra, Representation, adjoint_rep, semidirect_product
 from .linalg import (Matrix, Vec, accumulate, basis_vec, from_coords, kernel_basis,
                      vector, viszero, vzero)
 from .multilinear import BlockMap, iter_keys
@@ -80,9 +80,9 @@ def raise_arity_rep(rep: Representation, f: Sequence) -> Representation:
         if key[-1] < dg:
             structure[key] = val[:dg]
         else:
-            columns.setdefault(key[:-1], [vzero(dv)] * dv)[key[-1] - dg] = val[dg:]
-    action = {block: Matrix.from_columns(cols) for block, cols in columns.items()}
-    return Representation(NLieAlgebra(alg.n + 1, alg.space, structure), rep.module, action)
+            columns[(key[:-1], key[-1] - dg)] = val[dg:]
+    return Representation.from_columns(NLieAlgebra(alg.n + 1, alg.space, structure),
+                                       rep.module, columns)
 
 
 def lift_operator(t: RBOperator, f: Sequence) -> RBOperator:
@@ -138,25 +138,19 @@ def lift_cochain(p: BlockMap, f: Sequence) -> BlockMap:
 
 
 def find_center(rep: Representation) -> list[Vec]:
-    """Basis of the center of the semidirect product, by exact solve."""
-    sd = semidirect_product(rep)
-    total = sd.dim
-    rows = []
-    for block in blocks_of(total, sd.n - 1):
-        cols = [sd.bracket([*block, j]) for j in range(total)]
-        for c in range(total):
-            rows.append([col[c] for col in cols])
-    if not rows:
-        return [basis_vec(total, j) for j in range(total)]
-    return kernel_basis(Matrix(rows))
+    """Basis of the center of the semidirect product: the common kernel of
+    its ad matrices, read off its bracket table."""
+    ad = adjoint_rep(semidirect_product(rep))
+    rows = [row for mat in ad.action.values() for row in mat.entries]
+    return kernel_basis(Matrix.from_fraction_rows(rows, ad.dim_v))
 
 
 def is_central(rep: Representation, x0: Sequence) -> bool:
     x0v = vector(x0)
-    sd = semidirect_product(rep)
-    if len(x0v) != sd.dim:
+    ad = adjoint_rep(semidirect_product(rep))
+    if len(x0v) != ad.dim_v:
         raise ValueError("central element must live in the sum space")
-    return all(viszero(sd.bracket([*block, x0v])) for block in blocks_of(sd.dim, sd.n - 1))
+    return all(viszero(mat.mul_vec(x0v)) for mat in ad.action.values())
 
 
 def _wedge_with(c: Wedge, t: RBOperator, xi: Vec) -> Wedge:

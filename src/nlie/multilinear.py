@@ -15,10 +15,10 @@ of its leaves.  :class:`BlockMap` satisfies that contract, as do
 :class:`nlie.core.NLieAlgebra` and :class:`nlie.core.Representation`, so
 brackets and actions evaluate like any other cochain.
 
-Every other reader takes a table's entries at basis keys
-(:func:`basis_entries`), never the whole domain, and a table antisymmetric
-in its last block and tail is built from its increasing wedges
-(:func:`wedge_sums`, :func:`split_wedges`).
+Readers of a table take its entries at basis keys (:func:`basis_entries`);
+only `lift.lift_cochain` and the dense `rota_baxter.cochain_to_vector` walk
+the whole domain.  A table antisymmetric in its last block and tail is built
+from its increasing wedges (:func:`wedge_sums`, :func:`split_wedges`).
 
 A map whose arguments come from one summand of g ⊕ V and whose values lie
 in one summand enters the sum space through :func:`lift_map` and leaves it

@@ -267,24 +267,20 @@ def operator_rep(t: RBOperator) -> Representation:
     n, dg, dv = alg.n, alg.dim, rep.dim_v
     base = induced_bracket(t)
     images = [t.matrix.column(u) for u in range(dv)]
-    action = {}
+    columns = {}
     for block in blocks_of(dv, n - 1):
         tus = [images[u] for u in block]
-        cols = []
         for x in range(dg):
             inner: dict[int, Fraction] = {}
             for i in range(n - 1):
                 accumulate(inner, rep.act([*tus[:i], *tus[i + 1:], x], block[i]),
                            Fraction((-1) ** (n - 1 - i)))
-            cols.append(t.twist(alg.bracket([*tus, x]) + from_coords(inner, dv)))
-        mat = Matrix.from_columns(cols)
-        if not mat.is_zero():
-            action[block] = mat
-    return Representation(base, SpaceSpec(dg, "g"), action)
+            columns[(block, x)] = t.twist(alg.bracket([*tus, x]) + from_coords(inner, dv))
+    return Representation.from_columns(base, SpaceSpec(dg, "g"), columns)
 
 
 def wedge_coboundary(t: RBOperator, w: Wedge) -> BlockMap:
-    """Differential on degree-0 cochains: v -> T ρ(X)v − [X, Tv]."""
+    """Differential on degree-0 cochains: v -> T ρ(X)v − [X, Tv], ρ(X)v read off X's matrix."""
     rep = t.rep
     alg = rep.algebra
     n, dg, dv = alg.n, alg.dim, rep.dim_v
@@ -297,7 +293,7 @@ def wedge_coboundary(t: RBOperator, w: Wedge) -> BlockMap:
         total = vzero(dg)
         tv = t.apply(u)
         for block, c in w.coeffs.items():
-            term = vsub(t.matrix.mul_vec(rep.act(list(block), u)),
+            term = vsub(t.matrix.mul_vec(rep.value((block, u))),
                         alg.bracket([*block, tv]))
             total = vadd(total, vscale(term, c))
         if not viszero(total):
