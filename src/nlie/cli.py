@@ -11,6 +11,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Any, Optional
 
@@ -295,7 +296,9 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
     return report
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="nlie",
         description="Exact checks and constructions for n-Lie algebra problem files.")
@@ -316,7 +319,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     for p in (p_verify, p_coh, p_def, p_lift):
         p.add_argument("file")
         p.add_argument("--json", action="store_true", dest="as_json")
+    return parser
 
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "cohomology":
         lowest = 1 if args.target == "pair" else 0

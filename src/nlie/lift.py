@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence, Union
 
 from .combinat import blocks_of, sort_with_sign
 from .core import NLieAlgebra, Representation, adjoint_rep, semidirect_product
-from .linalg import (Matrix, Vec, accumulate, basis_vec, from_coords, kernel_basis,
-                     vector, viszero, vzero)
+from .linalg import (Coeff, Matrix, Vec, accumulate, as_int, basis_vec, from_coords,
+                     kernel_basis, nonzero, vector, vzero)
 from .multilinear import BlockMap, iter_keys
 from .rota_baxter import RBOperator, Wedge, rb_coboundary
 from .cochain import coboundary
@@ -53,8 +54,8 @@ def raise_arity(alg: NLieAlgebra, f: Sequence) -> NLieAlgebra:
     fv = vector(f)
     if not is_admissible(alg, fv):
         raise ValueError("covector does not annihilate the bracket")
-    support = [(j, c) for j, c in enumerate(fv) if c]
-    sums: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    support = nonzero(fv)
+    sums: dict[tuple[int, ...], dict[int, Coeff]] = {}
     for w, val in alg.structure.items():
         for j, c in support:
             s, key = sort_with_sign((j,) + w)
@@ -106,11 +107,12 @@ def lift_cochain(p: BlockMap, f: Sequence) -> BlockMap:
     of the dropped positions; what is left of the wedge splits into the
     last block and the tail.  Each wedge is expanded only over positions
     where the covector is nonzero, and keys absent from the table are
-    skipped.  The chain-map identity with the raised
+    skipped; the covector is read as ints while integral, and each sum is
+    converted to Fractions once.  The chain-map identity with the raised
     differential holds on cochains antisymmetric between the last block and
     the tail (the wedge-tail subspace; see multilinear.tail_antisymmetrize).
     """
-    fv = vector(f)
+    fv = [as_int(x) for x in vector(f)]
     n = p.n
     b = p.blocks
     if b == 0:
@@ -121,19 +123,15 @@ def lift_cochain(p: BlockMap, f: Sequence) -> BlockMap:
         wedges = key[:-2] + (key[-2] + (key[-1],),)
         # the positions a pick may drop: those where the covector is nonzero
         picks = [[(i, fv[j]) for i, j in enumerate(w) if fv[j]] for w in wedges]
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Coeff] = {}
         for pick in itertools.product(*picks):
             *blocks, last = (w[:i] + w[i + 1:] for w, (i, _) in zip(wedges, pick))
             val = p.table.get((*blocks, last[:-1], last[-1]))
-            if val is None:
-                continue
-            coeff = Fraction((-1) ** sum(i for i, _ in pick))
-            for _, c in pick:
-                coeff *= c
-            accumulate(acc, val, coeff)
-        total = from_coords(acc, p.target.dim)
-        if not viszero(total):
-            table[key] = total
+            if val is not None:
+                accumulate(acc, val, prod((c for _, c in pick),
+                                          start=(-1) ** sum(i for i, _ in pick)))
+        if any(acc.values()):
+            table[key] = from_coords(acc, p.target.dim)
     return BlockMap(n + 1, b, p.source, p.target, table)
 
 
@@ -146,11 +144,18 @@ def find_center(rep: Representation) -> list[Vec]:
 
 
 def is_central(rep: Representation, x0: Sequence) -> bool:
+    """Whether [block, x0] = 0 in g ⋉ V for every block: the bracket table's
+    entries (block, x) at x in the support of x0, summed by block."""
     x0v = vector(x0)
-    ad = adjoint_rep(semidirect_product(rep))
-    if len(x0v) != ad.dim_v:
+    sd = semidirect_product(rep)
+    if len(x0v) != sd.dim:
         raise ValueError("central element must live in the sum space")
-    return all(viszero(mat.mul_vec(x0v)) for mat in ad.action.values())
+    coeffs = dict(nonzero(x0v))
+    images: dict[tuple[int, ...], dict[int, Coeff]] = {}
+    for (block, x), val in sd.as_blockmap().table.items():
+        if x in coeffs:
+            accumulate(images.setdefault(block, {}), val, coeffs[x])
+    return not any(any(image.values()) for image in images.values())
 
 
 def _wedge_with(c: Wedge, t: RBOperator, xi: Vec) -> Wedge:

@@ -5,17 +5,20 @@ and solutions are exact: a zero really is zero.  Matrices are stored dense,
 row-major as tuples of tuples.  Elimination is sparse and fraction-free:
 `rank`, `kernel_basis` and `solve_linear` all read one reduced echelon form
 whose rows are dicts of nonzero entries, kept as primitive integer rows and
-eliminated shortest first.  A kernel that sums many products (the graded
-bracket) carries a coefficient as a plain int while it is integral
-(`as_int`) and hands back Fractions (`as_fractions`).
+eliminated shortest first.  The kernels that sum many products (the graded
+bracket, `apply_map` and the evaluations built on it, `Matrix.mul_vec`)
+carry a coefficient as a plain int while it is integral (`as_int`): the
+coordinate dicts of `nonzero`, `accumulate` and `accumulate_image` hold ints
+and Fractions, and `from_coords` hands back Fractions (`as_fractions`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 Vec = tuple[Fraction, ...]
+Coeff = Union[int, Fraction]  # an exact coefficient, an int while it is integral
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -71,26 +74,45 @@ def basis_vec(dim: int, i: int) -> Vec:
     return tuple(_ONE if j == i else _ZERO for j in range(dim))
 
 
-def nonzero(v: Sequence) -> list[tuple[int, Fraction]]:
-    """The (index, coefficient) pairs of the nonzero coordinates of v."""
-    return [(j, x) for j, x in enumerate(v) if x]
+def nonzero(v: Sequence) -> list[tuple[int, Coeff]]:
+    """The (index, coefficient) pairs of the nonzero coordinates of v, each
+    coefficient an int when it is integral."""
+    return [(j, as_int(x)) for j, x in enumerate(v) if x]
 
 
-def accumulate(acc: dict[int, Fraction], v: Sequence, c: Fraction = _ONE) -> None:
-    """acc += c·v on a coordinate dict, reading only the nonzero entries of v."""
+def accumulate(acc: dict[int, Coeff], v: Sequence, c: Coeff = 1) -> None:
+    """acc += c·v on a coordinate dict, reading only the nonzero entries of v;
+    integral entries and c are summed as ints."""
     if c == 1:
         for j, x in enumerate(v):
             if x:
+                x = as_int(x)
                 acc[j] = acc[j] + x if j in acc else x
     else:
+        c = as_int(c)
         for j, x in enumerate(v):
             if x:
-                acc[j] = acc[j] + c * x if j in acc else c * x
+                x = c * as_int(x)
+                acc[j] = acc[j] + x if j in acc else x
 
 
-def from_coords(acc: dict[int, Fraction], dim: int) -> Vec:
-    """The dense vector of a coordinate dict."""
-    return tuple(acc.get(j, _ZERO) for j in range(dim))
+def accumulate_image(acc: dict[int, Coeff], columns: Sequence[Sequence],
+                     coords: Iterable[tuple[int, Coeff]], c: Coeff = 1) -> None:
+    """acc += c·M·x, for M given by its columns and x by its (index,
+    coefficient) pairs."""
+    for u, x in coords:
+        if x:
+            accumulate(acc, columns[u], c * x)
+
+
+def int_columns(m: Matrix) -> list[tuple]:
+    """The columns of m, each entry an int when it is integral."""
+    return [tuple(as_int(row[j]) for row in m.entries) for j in range(m.cols)]
+
+
+def from_coords(acc: dict[int, Coeff], dim: int) -> Vec:
+    """The dense vector of a coordinate dict, as Fractions."""
+    return as_fractions(acc.get(j, 0) for j in range(dim))
 
 
 class Matrix:
@@ -168,7 +190,8 @@ class Matrix:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
         nz = nonzero(v)
-        return tuple(sum((row[j] * x for j, x in nz if row[j]), _ZERO) for row in self.entries)
+        return as_fractions(sum(as_int(row[j]) * x for j, x in nz if row[j])
+                            for row in self.entries)
 
     def transpose(self) -> "Matrix":
         return Matrix([[self.entries[i][j] for i in range(self.rows)]

@@ -9,9 +9,12 @@ sparse over sorted basis keys.
 `value(key)`, where a key is `blocks` strictly increasing index tuples
 followed by one tail index, and its `target` (for the zero vector).  Each
 vector argument becomes its nonzero (index, coefficient) pairs; one
-product over those lists gives the leaves, each block of a leaf is sorted
-with its sign, and each key is looked up once with the summed coefficient
-of its leaves.  :class:`BlockMap` satisfies that contract, as do
+product over those lists gives the leaves, each leaf's coefficient takes
+the sign of sorting its blocks, and each key is looked up once with the
+summed coefficient of its leaves.  Its core, :func:`apply_coords`, sums
+integral coefficients as ints into a coordinate dict, which the kernels on
+the deform/lift path read directly; `apply_map` converts it to Fractions.
+:class:`BlockMap` satisfies that contract, as do
 :class:`nlie.core.NLieAlgebra` and :class:`nlie.core.Representation`, so
 brackets and actions evaluate like any other cochain.
 
@@ -29,11 +32,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .combinat import sort_with_sign
-from .linalg import (Vec, accumulate, from_coords, nonzero, vadd, viszero, vscale,
-                     vzero)
+from .linalg import (Coeff, Vec, accumulate, from_coords, nonzero, vadd, viszero,
+                     vscale, vzero)
 
 # a basis key: `blocks` sorted index tuples followed by one tail index
 Key = tuple
@@ -179,22 +183,12 @@ def wedge_sums(f: BlockMap) -> dict[tuple, Vec]:
     """f's basis entries added onto the increasing wedge of their last block
     and tail: (F, B, t) adds s·value at F + (W,), where (s, W) =
     sort_with_sign(B + (t,)).  For f with blocks; a sum may be zero."""
-    sums: dict[tuple, dict[int, Fraction]] = {}
+    sums: dict[tuple, dict[int, Coeff]] = {}
     for blocks, tail, v in basis_entries(f):
         s, w = sort_with_sign(blocks[-1] + (tail,))
         if s:
-            accumulate(sums.setdefault(blocks[:-1] + (w,), {}), v, Fraction(s))
+            accumulate(sums.setdefault(blocks[:-1] + (w,), {}), v, s)
     return {key: from_coords(coords, f.target.dim) for key, coords in sums.items()}
-
-
-# the coefficient of a basis-index argument: a leaf multiplies only the
-# coefficients of its vector arguments
-_INDEX = Fraction(1)
-
-
-def _terms(e: Element) -> Sequence[tuple[int, Fraction]]:
-    """An argument's nonzero (index, coefficient) pairs."""
-    return ((e, _INDEX),) if isinstance(e, int) else nonzero(e)
 
 
 def _sorted_key(blocks: Sequence[Sequence[int]], tail: int) -> tuple[int, Optional[Key]]:
@@ -211,15 +205,40 @@ def _sorted_key(blocks: Sequence[Sequence[int]], tail: int) -> tuple[int, Option
     return sign, tuple(key)
 
 
-def apply_map(m, blocks: Sequence[Sequence[Element]], tail: Element) -> Vec:
-    """Evaluate with full multilinear/antisymmetric semantics.
+def apply_coords(m, blocks: Sequence[Sequence[Element]], tail: Element,
+                 acc: Optional[dict[int, Coeff]] = None, c: Coeff = 1) -> dict[int, Coeff]:
+    """acc + c·m(blocks; tail) as a coordinate dict (a new dict without acc).
 
     Block elements and the tail may be basis indices or coefficient vectors.
     Each argument becomes its nonzero (index, coefficient) pairs, and one
-    product over those lists gives the leaves.  A leaf's blocks are sorted
-    with their signs; leaves that meet on one key add their coefficients,
-    and each key is looked up once.  Only the nonzero coordinates of the
-    values are read.  An all-index call is one leaf, read as one lookup.
+    product over those lists gives the leaves.  A leaf's coefficient is the
+    product of its vector coefficients and the sign of sorting its blocks;
+    leaves that meet on one key add their coefficients, and each key is
+    looked up once.  Only the nonzero coordinates of the values are read,
+    and integral coefficients are summed as ints.
+    """
+    spans = list(itertools.pairwise(itertools.accumulate((len(b) for b in blocks), initial=0)))
+    slots = [((e, 1),) if isinstance(e, int) else nonzero(e) for block in blocks for e in block]
+    slots.append(((tail, 1),) if isinstance(tail, int) else nonzero(tail))
+    coeffs: dict[Key, Coeff] = {}
+    for leaf in itertools.product(*slots):
+        idx, cs = zip(*leaf)
+        sign, key = _sorted_key([idx[a:b] for a, b in spans], idx[-1])
+        if sign:
+            x = prod(cs, start=sign)
+            coeffs[key] = coeffs[key] + x if key in coeffs else x
+    if acc is None:
+        acc = {}
+    for key, x in coeffs.items():
+        if x:
+            accumulate(acc, m.value(key), c * x)
+    return acc
+
+
+def apply_map(m, blocks: Sequence[Sequence[Element]], tail: Element) -> Vec:
+    """Evaluate with full multilinear/antisymmetric semantics: the
+    coordinates of :func:`apply_coords`, as Fractions.  An all-index call
+    is one leaf, read as one lookup.
     """
     if isinstance(tail, int) and all(isinstance(e, int) for block in blocks for e in block):
         sign, key = _sorted_key(blocks, tail)
@@ -227,27 +246,7 @@ def apply_map(m, blocks: Sequence[Sequence[Element]], tail: Element) -> Vec:
             return vzero(m.target.dim)
         v = m.value(key)
         return v if sign == 1 else vscale(v, Fraction(sign))
-    spans = list(itertools.pairwise(itertools.accumulate((len(b) for b in blocks), initial=0)))
-    slots = [_terms(e) for block in blocks for e in block]
-    slots.append(_terms(tail))
-    coeffs: dict[Key, Fraction] = {}
-    for leaf in itertools.product(*slots):
-        idx, cs = zip(*leaf)
-        sign, key = _sorted_key([idx[a:b] for a, b in spans], idx[-1])
-        if sign == 0:
-            continue
-        c = None
-        for x in cs:
-            if x is not _INDEX:
-                c = x if c is None else c * x
-        if sign < 0:
-            c = -c
-        coeffs[key] = coeffs[key] + c if key in coeffs else c
-    acc: dict[int, Fraction] = {}
-    for key, c in coeffs.items():
-        if c:
-            accumulate(acc, m.value(key), c)
-    return from_coords(acc, m.target.dim)
+    return from_coords(apply_coords(m, blocks, tail), m.target.dim)
 
 
 # ---------------------------------------------------------------------------

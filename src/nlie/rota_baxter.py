@@ -26,9 +26,9 @@ from typing import Iterator, Optional, Sequence, Union
 from .combinat import blocks_of, compositions
 from .core import (CheckReport, NLieAlgebra, NPreLie, Representation,
                    semidirect_blockmap, semidirect_product, sub_adjacent)
-from .linalg import (Matrix, Vec, accumulate, basis_vec, from_coords, vadd, viszero,
-                     vscale, vsub, vzero)
-from .multilinear import (BlockMap, Element, SpaceSpec, iter_keys,
+from .linalg import (Coeff, Matrix, Vec, accumulate_image, as_int, basis_vec, from_coords,
+                     int_columns, nonzero, viszero, vscale, vsub)
+from .multilinear import (BlockMap, Element, SpaceSpec, apply_coords, iter_keys,
                           lift_operator_map, project_operator_part)
 from .cochain import (_scatter, coboundary, coboundary_matrix, cochain_basis,
                       cohomology_table, graded_bracket)
@@ -97,23 +97,23 @@ def _coefficient_residual(jet_ops: Sequence[Matrix], base: RBOperator, s: int,
     over the compositions of s into coefficients the jet has; order 0 is the
     operator identity of jet_ops[0].
 
-    Each jet column Tᵢ(vⱼ) is read once, and the brackets, the signed action
-    sums and their images accumulate on coordinate dicts."""
+    Each jet column is read once as an int tuple (`int_columns`), and the
+    brackets, the signed action sums and their images accumulate on one
+    coordinate dict, converted to Fractions once."""
     rep = base.rep
     alg = rep.algebra
     n = alg.n
-    cols = [[op.column(v) for v in vs] for op in jet_ops]
-    total: dict[int, Fraction] = {}
+    cols = [int_columns(op) for op in jet_ops]
+    total: dict[int, Coeff] = {}
     for comp in compositions(s, n, len(jet_ops) - 1):
-        accumulate(total, alg.bracket([cols[comp[j]][j] for j in range(n)]))
-        inner: dict[int, Fraction] = {}
+        apply_coords(alg, [[cols[comp[j]][vs[j]] for j in range(n - 1)]],
+                     cols[comp[n - 1]][vs[n - 1]], total)
+        inner: dict[int, Coeff] = {}
         for k in range(n):
             survivors = [j for j in range(n) if j != k]
-            args = [cols[comp[p + 1]][j] for p, j in enumerate(survivors)]
-            accumulate(inner, rep.act(args, vs[k]), Fraction((-1) ** (n - 1 - k)))
-        if inner:
-            accumulate(total, jet_ops[comp[0]].mul_vec(from_coords(inner, rep.dim_v)),
-                       Fraction(-1))
+            args = [cols[comp[p + 1]][vs[j]] for p, j in enumerate(survivors)]
+            apply_coords(rep, [args], vs[k], inner, (-1) ** (n - 1 - k))
+        accumulate_image(total, cols[comp[0]], inner.items(), -1)
     return from_coords(total, alg.dim)
 
 
@@ -241,13 +241,14 @@ def pre_lie_of_operator(t: RBOperator) -> NPreLie:
     rep = t.rep
     n, dv = rep.algebra.n, rep.dim_v
     space = SpaceSpec(dv, "V")
+    images = int_columns(t.matrix)
     table = {}
     for block in blocks_of(dv, n - 1):
-        tvs = [t.apply(v) for v in block]
+        tvs = [images[v] for v in block]
         for tail in range(dv):
-            val = rep.act(tvs, tail)
-            if not viszero(val):
-                table[(block, tail)] = val
+            val = apply_coords(rep, [tvs], tail)
+            if any(val.values()):
+                table[(block, tail)] = from_coords(val, dv)
     return NPreLie(n, space, BlockMap(n, 1, space, space, table))
 
 
@@ -260,27 +261,30 @@ def operator_rep(t: RBOperator) -> Representation:
     """ρ_T on g: ρ_T(u_1..u_{n-1})x is the twist of the semidirect bracket of
     the graph vectors of the u_i with (x, 0), that is
     [Tu_1..Tu_{n-1}, x] − T Σᵢ (−1)^{n−1−i} ρ(Tu_1..T̂uᵢ..Tu_{n-1}, x)uᵢ; the
-    leaves with two V indices, zero in g ⋉ V, are never formed.  Cached as
-    `t.induced_rep`."""
+    leaves with two V indices, zero in g ⋉ V, are never formed.  T's columns
+    are read once as int tuples.  Cached as `t.induced_rep`."""
     rep = t.rep
     alg = rep.algebra
     n, dg, dv = alg.n, alg.dim, rep.dim_v
     base = induced_bracket(t)
-    images = [t.matrix.column(u) for u in range(dv)]
+    images = int_columns(t.matrix)
     columns = {}
     for block in blocks_of(dv, n - 1):
         tus = [images[u] for u in block]
         for x in range(dg):
-            inner: dict[int, Fraction] = {}
+            col = apply_coords(alg, [tus], x)
+            inner: dict[int, Coeff] = {}
             for i in range(n - 1):
-                accumulate(inner, rep.act([*tus[:i], *tus[i + 1:], x], block[i]),
-                           Fraction((-1) ** (n - 1 - i)))
-            columns[(block, x)] = t.twist(alg.bracket([*tus, x]) + from_coords(inner, dv))
+                apply_coords(rep, [[*tus[:i], *tus[i + 1:], x]], block[i], inner,
+                             (-1) ** (n - 1 - i))
+            accumulate_image(col, images, inner.items(), -1)
+            columns[(block, x)] = from_coords(col, dg)
     return Representation.from_columns(base, SpaceSpec(dg, "g"), columns)
 
 
 def wedge_coboundary(t: RBOperator, w: Wedge) -> BlockMap:
-    """Differential on degree-0 cochains: v -> T ρ(X)v − [X, Tv], ρ(X)v read off X's matrix."""
+    """Differential on degree-0 cochains: v -> T ρ(X)v − [X, Tv], ρ(X)v read
+    off X's matrix and T's columns read once as int tuples."""
     rep = t.rep
     alg = rep.algebra
     n, dg, dv = alg.n, alg.dim, rep.dim_v
@@ -288,16 +292,16 @@ def wedge_coboundary(t: RBOperator, w: Wedge) -> BlockMap:
         raise ValueError("wedge shape mismatch")
     src = SpaceSpec(dv, "V")
     tgt = SpaceSpec(dg, "g")
+    images = int_columns(t.matrix)
     table = {}
     for u in range(dv):
-        total = vzero(dg)
-        tv = t.apply(u)
+        total: dict[int, Coeff] = {}
         for block, c in w.coeffs.items():
-            term = vsub(t.matrix.mul_vec(rep.value((block, u))),
-                        alg.bracket([*block, tv]))
-            total = vadd(total, vscale(term, c))
-        if not viszero(total):
-            table[(u,)] = total
+            c = as_int(c)
+            accumulate_image(total, images, nonzero(rep.value((block, u))), c)
+            apply_coords(alg, [block], images[u], total, -c)
+        if any(total.values()):
+            table[(u,)] = from_coords(total, dg)
     return BlockMap(n, 0, src, tgt, table)
 
 

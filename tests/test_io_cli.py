@@ -1,8 +1,10 @@
 import json
+import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -724,3 +726,32 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify" in proc.stdout
+
+
+def test_main_builds_one_parser_and_answers_like_fresh_processes(tmp_path, capsys):
+    """`main` builds its parser once per process.  Calls in turn with every
+    command, a refused `--max-m` among them, give the exit codes and the
+    output of one fresh process per call."""
+    payload = dict(ONE_BLOCK_FILE)
+    payload["deformation"] = [[["0", "0"], ["0", "0"], ["0", "0"]]]
+    path = write(tmp_path, "p.json", payload)
+    calls = [["verify", path, "--json"],
+             ["cohomology", path, "--max-m", "-1", "--json"],
+             ["deform", path, "--action", "extend", "--json"],
+             ["lift", path, "--json"]]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    fresh = [subprocess.run([sys.executable, "-m", "nlie.cli", *argv], capture_output=True,
+                            text=True, env=env) for argv in calls]
+    assert [(p.returncode, p.stdout, p.stderr) for p in fresh] == in_process
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 0]
+    assert all(json.loads(out)["verdict"] for code, out, _ in in_process if code == 0)
+    assert cli._parser() is cli._parser()
