@@ -278,19 +278,6 @@ class NPreLie:
     def dim(self) -> int:
         return self.space.dim
 
-    def prod(self, args: Sequence[Element]) -> Vec:
-        return apply_map(self.product, [list(args[:-1])], args[-1])
-
-    def commutator_bracket(self, args: Sequence[Element]) -> Vec:
-        """Antisymmetrized bracket: sum of signed products with each slot last."""
-        n = self.n
-        out = vzero(self.dim)
-        for i in range(n):
-            rest = list(args[:i]) + list(args[i + 1:])
-            term = self.prod([*rest, args[i]])
-            out = vadd(out, vscale(term, Fraction((-1) ** (n - 1 - i))))
-        return out
-
     def __repr__(self):
         return f"NPreLie(n={self.n}, dim={self.dim})"
 

@@ -71,10 +71,6 @@ class RBOperator:
     def algebra(self) -> NLieAlgebra:
         return self.rep.algebra
 
-    def apply(self, v: Element) -> Vec:
-        vv = basis_vec(self.rep.dim_v, v) if isinstance(v, int) else v
-        return self.matrix.mul_vec(vv)
-
     def graph(self, u: Element) -> Vec:
         """(Tu, u) in g ⊕ V."""
         uu = basis_vec(self.rep.dim_v, u) if isinstance(u, int) else u

@@ -17,7 +17,7 @@ from nlie import (BlockMap, Matrix, NLieAlgebra, Representation, SpaceSpec,
                   abelian, adjoint_rep, coadjoint_rep, check_filippov,
                   check_representation, check_rb, zero_representation)
 from nlie.lift import admissible_covectors, raise_arity, raise_arity_rep
-from nlie.linalg import vector, viszero
+from nlie.linalg import vector
 from nlie.multilinear import iter_keys, tail_antisymmetrize
 from nlie.rota_baxter import RBOperator
 
@@ -39,17 +39,6 @@ def random_blockmap(rng: random.Random, n: int, blocks: int, dim_s: int, dim_t: 
             continue
         table[key] = tuple(rand_frac(rng) for _ in range(dim_t))
     return BlockMap(n, blocks, SpaceSpec(dim_s, src_label), SpaceSpec(dim_t, tgt_label), table)
-
-
-def materialize(m) -> BlockMap:
-    """The table of a map known key by key (a `LazyMap`, an `NLieAlgebra`):
-    its nonzero values at every basis key of its domain."""
-    table = {}
-    for key in iter_keys(m.source.dim, m.n - 1, m.blocks):
-        v = m.value(key)
-        if not viszero(v):
-            table[key] = v
-    return BlockMap(m.n, m.blocks, m.source, m.target, table)
 
 
 def random_wedge_tail_cochain(rng: random.Random, n: int, blocks: int,

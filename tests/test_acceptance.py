@@ -254,7 +254,7 @@ def test_criterion_7(operator_corpus):
         assert sub_adjacent(pl).structure == ib.structure
         for key in itertools.combinations(range(op.rep.dim_v), op.algebra.n):
             assert op.matrix.mul_vec(ib.bracket(list(key))) == \
-                op.algebra.bracket([op.apply(u) for u in key])
+                op.algebra.bracket([op.matrix.column(u) for u in key])
         assert check_representation(operator_rep(op))
         for block in blocks_of(op.algebra.dim, op.algebra.n - 1):
             w = Wedge(op.algebra.dim, op.algebra.n - 1, {block: Fraction(1)})

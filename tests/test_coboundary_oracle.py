@@ -1,11 +1,10 @@
-"""The per-key coboundary and per-basis assembly, kept as the oracle for
-the row-direct differential.
+"""The differential against its oracle, the per-key coboundary.
 
-`oracle_coboundary` evaluates every term of the differential at every
-destination key through `apply_map`; `oracle_coboundary_matrix` runs it
-once per source basis cochain.  Production code builds each differential
-once per representation and degree as sparse columns and applies those
-columns instead; the tests below compare the two exactly.
+`oracles.oracle_coboundary` evaluates every term of the differential at
+every destination key; `oracle_coboundary_matrix` runs it once per source
+basis cochain.  Production code builds each differential once per
+representation and degree as sparse columns and applies those columns
+instead; the tests below compare the two exactly.
 """
 import random
 from fractions import Fraction
@@ -13,78 +12,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_blockmap
+from oracles import oracle_coboundary, oracle_coboundary_matrix
 
-from nlie import (BlockMap, LazyMap, Matrix, SpaceSpec, adjoint_rep, cli,
-                  cochain, zero_representation)
-from nlie.cochain import (_scatter, coboundary, coboundary_matrix,
-                          cochain_basis, graded_bracket)
+from nlie import BlockMap, LazyMap, SpaceSpec, adjoint_rep, cli, cochain, zero_representation
+from nlie.cochain import coboundary, coboundary_matrix, graded_bracket
 from nlie.core import Representation
-from nlie.linalg import basis_vec, vadd, viszero, vscale, vzero
-from nlie.multilinear import apply_map, iter_keys
 from nlie.rota_baxter import RBOperator, rb_coboundary_matrix
-
-
-def oracle_coboundary(rep: Representation, f) -> BlockMap:
-    """The differential of an (f.blocks+1)-cochain valued in rep's module."""
-    alg = rep.algebra
-    n, d = alg.n, alg.dim
-    if f.source.dim != d:
-        raise ValueError("cochain source does not match the algebra")
-    if f.target.dim != rep.dim_v:
-        raise ValueError("cochain target does not match the module")
-    m = f.blocks + 1
-    dv = rep.dim_v
-    table = {}
-    for key in iter_keys(d, n - 1, m):
-        X = key[:-1]
-        t = key[-1]
-        total = vzero(dv)
-        # blocks composed into blocks
-        for j in range(m):
-            sj = Fraction((-1) ** (j + 1))
-            for k in range(j + 1, m):
-                for i in range(n - 1):
-                    w = alg.bracket([*X[j], X[k][i]])
-                    if viszero(w):
-                        continue
-                    nb = X[k][:i] + (w,) + X[k][i + 1:]
-                    rest = list(X[:j]) + list(X[j + 1:k]) + [nb] + list(X[k + 1:])
-                    v = apply_map(f, rest, t)
-                    if not viszero(v):
-                        total = vadd(total, vscale(v, sj))
-            # block bracketed with the tail
-            w = alg.bracket([*X[j], t])
-            if not viszero(w):
-                rest = list(X[:j]) + list(X[j + 1:])
-                total = vadd(total, vscale(apply_map(f, rest, w), sj))
-            # action on the value
-            rest = list(X[:j]) + list(X[j + 1:])
-            v = apply_map(f, rest, t)
-            if not viszero(v):
-                total = vadd(total, vscale(rep.act(X[j], v), -sj))
-        # action of the last block's entries paired with the tail
-        last = X[m - 1]
-        for i in range(n - 1):
-            v = apply_map(f, list(X[:m - 1]), last[i])
-            if viszero(v):
-                continue
-            w = rep.act([*last[:i], *last[i + 1:], t], v)
-            total = vadd(total, vscale(w, Fraction((-1) ** (n + m - i))))
-        if not viszero(total):
-            table[key] = total
-    return BlockMap(n, m, f.source, f.target, table)
-
-
-def oracle_coboundary_matrix(rep: Representation, m: int) -> Matrix:
-    """Matrix of the differential from m-cochains to (m+1)-cochains."""
-    alg = rep.algebra
-    d, n, dv = alg.dim, alg.n, rep.dim_v
-    source = SpaceSpec(d, "g")
-    target = SpaceSpec(dv, "V")
-    images = (oracle_coboundary(rep, BlockMap(n, m - 1, source, target,
-                                              {key: basis_vec(dv, c)})).table
-              for key, c in cochain_basis(d, n, m, dv))
-    return _scatter(images, cochain_basis(d, n, m + 1, dv))
 
 
 def fresh(rep: Representation) -> Representation:

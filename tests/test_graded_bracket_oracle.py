@@ -1,9 +1,10 @@
-"""The per-key graded bracket, kept as the oracle for the sparse one.
+"""The graded bracket against its oracle, the per-key composition.
 
-`_circ` and `oracle_graded_bracket` evaluate the composition at each
-requested key through `apply_map`, walking every shuffle and every slot.
-Production code composes the bracket from the nonzero entries of its
-arguments instead; the tests below compare the two exactly.
+`oracles._circ` and `oracle_graded_bracket` evaluate the composition at
+each requested key, walking every shuffle and every slot.  Production code
+composes the bracket from the nonzero entries of its arguments instead;
+the tests below, and the integer-bracket tests in
+`test_integer_kernel_oracle.py`, compare the two exactly.
 """
 import itertools
 import random
@@ -11,75 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import broken_action, broken_algebra, materialize, random_blockmap
+from conftest import broken_action, broken_algebra, random_blockmap
+from oracles import (materialize, oracle_bracket_table, oracle_derived_bracket,
+                     oracle_graded_bracket)
 
 from nlie import BlockMap, LazyMap, check_filippov, check_representation
 from nlie.cochain import check_mc_pair, graded_bracket
-from nlie.combinat import shuffles
 from nlie.core import semidirect_blockmap
-from nlie.linalg import Vec, vadd, viszero, vscale, vsub, vzero
 from nlie.lift import admissible_covectors, lift_operator
-from nlie.multilinear import apply_map, project_operator_part
-from nlie.rota_baxter import (DerivedContext, derived_bracket,
-                              matrix_to_cochain)
-
-
-def _circ(P, Q, key) -> Vec:
-    p, q = P.blocks, Q.blocks
-    n = P.n
-    X = key[:-1]
-    x = key[-1]
-    total = vzero(P.target.dim)
-    # insertion of Q's value into one block of P
-    for k in range(1, p + 1):
-        base = Fraction((-1) ** ((k - 1) * q))
-        consumed = X[k + q - 1]
-        restb = list(X[k + q:])
-        for perm, sgn in shuffles(k - 1, q):
-            front = [X[perm[t]] for t in range(k - 1)]
-            qargs = [list(X[perm[t]]) for t in range(k - 1, k - 1 + q)]
-            coeff = base * sgn
-            for i in range(n - 1):
-                inner = apply_map(Q, qargs, consumed[i])
-                if viszero(inner):
-                    continue
-                nb = list(consumed)
-                nb[i] = inner
-                val = apply_map(P, front + [nb] + restb, x)
-                if not viszero(val):
-                    total = vadd(total, vscale(val, coeff))
-    # Q's value fed to P's tail
-    base = Fraction((-1) ** (p * q))
-    for perm, sgn in shuffles(p, q):
-        pargs = [X[perm[t]] for t in range(p)]
-        qargs = [list(X[perm[t]]) for t in range(p, p + q)]
-        inner = apply_map(Q, qargs, x)
-        if viszero(inner):
-            continue
-        val = apply_map(P, pargs, inner)
-        if not viszero(val):
-            total = vadd(total, vscale(val, base * sgn))
-    return total
-
-
-def oracle_graded_bracket(P, Q) -> LazyMap:
-    """Graded commutator P∘Q − (−1)^{pq} Q∘P, evaluated lazily."""
-    if P.source.dim != Q.source.dim or P.n != Q.n:
-        raise ValueError("bracket arguments live on different spaces")
-    sign = Fraction((-1) ** (P.blocks * Q.blocks))
-
-    def fn(key) -> Vec:
-        return vsub(_circ(P, Q, key), vscale(_circ(Q, P, key), sign))
-
-    return LazyMap(P.n, P.blocks + Q.blocks, P.source, P.target, fn)
-
-
-def oracle_derived_bracket(ctx: DerivedContext, cochains) -> BlockMap:
-    """`derived_bracket` with every bracket taken by the oracle."""
-    acc = ctx.delta
-    for c in cochains:
-        acc = oracle_graded_bracket(acc, ctx.lift(c))
-    return project_operator_part(materialize(acc))
+from nlie.rota_baxter import DerivedContext, derived_bracket, matrix_to_cochain
 
 
 def random_rational_map(rng: random.Random, n: int, blocks: int, d: int,
@@ -93,7 +34,7 @@ def random_rational_map(rng: random.Random, n: int, blocks: int, d: int,
 def assert_equals_oracle(P: BlockMap, Q: BlockMap) -> BlockMap:
     br = graded_bracket(P, Q)
     assert isinstance(br, BlockMap)
-    assert br == materialize(oracle_graded_bracket(P, Q)), (P, Q)
+    assert br == oracle_bracket_table(P, Q), (P, Q)
     return br
 
 

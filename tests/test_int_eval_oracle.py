@@ -1,5 +1,5 @@
-"""Brackets, actions and jet residuals evaluated on ints, against the
-Fraction bodies they replaced.
+"""Brackets, actions and jet residuals evaluated on ints, against their
+oracles.
 
 `nonzero`, `accumulate` and `Matrix.mul_vec` sum integral coefficients as
 plain ints, and `from_coords` hands back Fractions.  `apply_map` is
@@ -9,12 +9,10 @@ int leaf coefficient.  The jet residual, `operator_rep`,
 read each jet, operator or covector column once as ints and feed
 `apply_coords` directly.
 
-The bodies they replaced stay below verbatim, as oracles.  Where a body
-called one of the replaced kernels (`alg.bracket`, `rep.act`, `mul_vec`,
-`nonzero`, `accumulate`, `from_coords`, `induced_bracket`), it calls that
-kernel's oracle instead, so no oracle runs the int code.  Every comparison
-is exact, and every returned coordinate must be a Fraction: an int leaked
-out of the int kernels would still compare equal.
+The inputs below mix Fractions, ints and non-integral constants.  Every
+comparison with an oracle of `oracles.py` is exact, and every returned
+coordinate must be a Fraction: an int leaked out of the int kernels would
+still compare equal.
 """
 import itertools
 import random
@@ -23,248 +21,26 @@ from fractions import Fraction
 import pytest
 
 from conftest import broken_action, broken_algebra
-from test_column_table_oracle import assert_same_rep, oracle_is_central, pair_corpus
+from oracles import (oracle_accumulate, oracle_act, oracle_apply_map, oracle_bracket,
+                     oracle_coefficient_residual, oracle_from_coords, oracle_is_central,
+                     oracle_lift_cochain, oracle_mul_vec, oracle_nonzero, oracle_operator_rep,
+                     oracle_pre_lie_of_operator, oracle_raise_arity, oracle_wedge_coboundary)
+from test_column_table_oracle import assert_same_rep, pair_corpus
 from test_obstruction_oracle import broken_operator
 from test_skew_table_oracle import covectors
 from test_sparse_eval_oracle import jet_corpus, lift_corpus, map_shapes
 
-from nlie import BlockMap, Matrix, NLieAlgebra, NPreLie, Representation, SpaceSpec
-from nlie.combinat import blocks_of, compositions, sort_with_sign
-from nlie.core import sub_adjacent
+from nlie import BlockMap, Matrix, SpaceSpec
+from nlie.combinat import blocks_of
 from nlie.deformation import DeformationJet
-from nlie.lift import find_center, is_admissible, is_central, lift_cochain, raise_arity
-from nlie.linalg import (Vec, accumulate, basis_vec, from_coords, nonzero, vadd, vector,
-                         viszero, vscale, vsub, vzero)
+from nlie.lift import find_center, is_central, lift_cochain, raise_arity
+from nlie.linalg import accumulate, from_coords, nonzero, vadd, vector, viszero, vscale, vzero
 from nlie.multilinear import apply_coords, apply_map, iter_keys
 from nlie.rota_baxter import (RBOperator, Wedge, _coefficient_residual, operator_rep,
                               pre_lie_of_operator, wedge_coboundary)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-# ---------------------------------------------------------------------------
-# the replaced bodies, verbatim
-# ---------------------------------------------------------------------------
-
-
-def oracle_nonzero(v):
-    """The (index, coefficient) pairs of the nonzero coordinates of v."""
-    return [(j, x) for j, x in enumerate(v) if x]
-
-
-def oracle_accumulate(acc, v, c=_ONE) -> None:
-    """acc += c·v on a coordinate dict, reading only the nonzero entries of v."""
-    if c == 1:
-        for j, x in enumerate(v):
-            if x:
-                acc[j] = acc[j] + x if j in acc else x
-    else:
-        for j, x in enumerate(v):
-            if x:
-                acc[j] = acc[j] + c * x if j in acc else c * x
-
-
-def oracle_from_coords(acc, dim: int) -> Vec:
-    """The dense vector of a coordinate dict."""
-    return tuple(acc.get(j, _ZERO) for j in range(dim))
-
-
-def oracle_mul_vec(self, v) -> Vec:
-    v = vector(v)
-    if len(v) != self.cols:
-        raise ValueError("shape mismatch")
-    nz = oracle_nonzero(v)
-    return tuple(sum((row[j] * x for j, x in nz if row[j]), _ZERO) for row in self.entries)
-
-
-# the coefficient of a basis-index argument: a leaf multiplies only the
-# coefficients of its vector arguments
-_INDEX = Fraction(1)
-
-
-def oracle_terms(e):
-    """An argument's nonzero (index, coefficient) pairs."""
-    return ((e, _INDEX),) if isinstance(e, int) else oracle_nonzero(e)
-
-
-def oracle_sorted_key(blocks, tail):
-    """(sign, key) of index blocks sorted with their signs, followed by the
-    tail; (0, None) when a block repeats an index."""
-    key, sign = [], 1
-    for block in blocks:
-        s, sb = sort_with_sign(tuple(block))
-        if s == 0:
-            return 0, None
-        sign *= s
-        key.append(sb)
-    key.append(tail)
-    return sign, tuple(key)
-
-
-def oracle_apply_map(m, blocks, tail) -> Vec:
-    if isinstance(tail, int) and all(isinstance(e, int) for block in blocks for e in block):
-        sign, key = oracle_sorted_key(blocks, tail)
-        if sign == 0:
-            return vzero(m.target.dim)
-        v = m.value(key)
-        return v if sign == 1 else vscale(v, Fraction(sign))
-    spans = list(itertools.pairwise(itertools.accumulate((len(b) for b in blocks), initial=0)))
-    slots = [oracle_terms(e) for block in blocks for e in block]
-    slots.append(oracle_terms(tail))
-    coeffs = {}
-    for leaf in itertools.product(*slots):
-        idx, cs = zip(*leaf)
-        sign, key = oracle_sorted_key([idx[a:b] for a, b in spans], idx[-1])
-        if sign == 0:
-            continue
-        c = None
-        for x in cs:
-            if x is not _INDEX:
-                c = x if c is None else c * x
-        if sign < 0:
-            c = -c
-        coeffs[key] = coeffs[key] + c if key in coeffs else c
-    acc = {}
-    for key, c in coeffs.items():
-        if c:
-            oracle_accumulate(acc, m.value(key), c)
-    return oracle_from_coords(acc, m.target.dim)
-
-
-def oracle_bracket(alg: NLieAlgebra, args) -> Vec:
-    return oracle_apply_map(alg, [args[:-1]], args[-1])
-
-
-def oracle_act(rep: Representation, gargs, v) -> Vec:
-    return oracle_apply_map(rep, [gargs], v)
-
-
-def oracle_apply(t: RBOperator, v) -> Vec:
-    return oracle_mul_vec(t.matrix, basis_vec(t.rep.dim_v, v))
-
-
-def oracle_twist(t: RBOperator, w: Vec) -> Vec:
-    dg = t.algebra.dim
-    return vsub(w[:dg], oracle_mul_vec(t.matrix, w[dg:]))
-
-
-def oracle_coefficient_residual(jet_ops, base, s, vs) -> Vec:
-    rep = base.rep
-    alg = rep.algebra
-    n = alg.n
-    cols = [[op.column(v) for v in vs] for op in jet_ops]
-    total = {}
-    for comp in compositions(s, n, len(jet_ops) - 1):
-        oracle_accumulate(total, oracle_bracket(alg, [cols[comp[j]][j] for j in range(n)]))
-        inner = {}
-        for k in range(n):
-            survivors = [j for j in range(n) if j != k]
-            args = [cols[comp[p + 1]][j] for p, j in enumerate(survivors)]
-            oracle_accumulate(inner, oracle_act(rep, args, vs[k]),
-                              Fraction((-1) ** (n - 1 - k)))
-        if inner:
-            oracle_accumulate(total, oracle_mul_vec(jet_ops[comp[0]],
-                                                    oracle_from_coords(inner, rep.dim_v)),
-                              Fraction(-1))
-    return oracle_from_coords(total, alg.dim)
-
-
-def oracle_pre_lie_of_operator(t: RBOperator) -> NPreLie:
-    rep = t.rep
-    n, dv = rep.algebra.n, rep.dim_v
-    space = SpaceSpec(dv, "V")
-    table = {}
-    for block in blocks_of(dv, n - 1):
-        tvs = [oracle_apply(t, v) for v in block]
-        for tail in range(dv):
-            val = oracle_act(rep, tvs, tail)
-            if not viszero(val):
-                table[(block, tail)] = val
-    return NPreLie(n, space, BlockMap(n, 1, space, space, table))
-
-
-def oracle_operator_rep(t: RBOperator) -> Representation:
-    rep = t.rep
-    alg = rep.algebra
-    n, dg, dv = alg.n, alg.dim, rep.dim_v
-    base = sub_adjacent(oracle_pre_lie_of_operator(t))
-    images = [t.matrix.column(u) for u in range(dv)]
-    columns = {}
-    for block in blocks_of(dv, n - 1):
-        tus = [images[u] for u in block]
-        for x in range(dg):
-            inner = {}
-            for i in range(n - 1):
-                oracle_accumulate(inner, oracle_act(rep, [*tus[:i], *tus[i + 1:], x], block[i]),
-                                  Fraction((-1) ** (n - 1 - i)))
-            columns[(block, x)] = oracle_twist(
-                t, oracle_bracket(alg, [*tus, x]) + oracle_from_coords(inner, dv))
-    return Representation.from_columns(base, SpaceSpec(dg, "g"), columns)
-
-
-def oracle_wedge_coboundary(t: RBOperator, w: Wedge) -> BlockMap:
-    rep = t.rep
-    alg = rep.algebra
-    n, dg, dv = alg.n, alg.dim, rep.dim_v
-    if (w.dim, w.size) != (dg, n - 1):
-        raise ValueError("wedge shape mismatch")
-    src = SpaceSpec(dv, "V")
-    tgt = SpaceSpec(dg, "g")
-    table = {}
-    for u in range(dv):
-        total = vzero(dg)
-        tv = oracle_apply(t, u)
-        for block, c in w.coeffs.items():
-            term = vsub(oracle_mul_vec(t.matrix, rep.value((block, u))),
-                        oracle_bracket(alg, [*block, tv]))
-            total = vadd(total, vscale(term, c))
-        if not viszero(total):
-            table[(u,)] = total
-    return BlockMap(n, 0, src, tgt, table)
-
-
-def oracle_lift_cochain(p: BlockMap, f) -> BlockMap:
-    fv = vector(f)
-    n = p.n
-    b = p.blocks
-    if b == 0:
-        return BlockMap(n + 1, 0, p.source, p.target, dict(p.table))
-    d = p.source.dim
-    table = {}
-    for key in iter_keys(d, n, b):
-        wedges = key[:-2] + (key[-2] + (key[-1],),)
-        # the positions a pick may drop: those where the covector is nonzero
-        picks = [[(i, fv[j]) for i, j in enumerate(w) if fv[j]] for w in wedges]
-        acc = {}
-        for pick in itertools.product(*picks):
-            *blocks, last = (w[:i] + w[i + 1:] for w, (i, _) in zip(wedges, pick))
-            val = p.table.get((*blocks, last[:-1], last[-1]))
-            if val is None:
-                continue
-            coeff = Fraction((-1) ** sum(i for i, _ in pick))
-            for _, c in pick:
-                coeff *= c
-            oracle_accumulate(acc, val, coeff)
-        total = oracle_from_coords(acc, p.target.dim)
-        if not viszero(total):
-            table[key] = total
-    return BlockMap(n + 1, b, p.source, p.target, table)
-
-
-def oracle_raise_arity(alg: NLieAlgebra, f) -> NLieAlgebra:
-    fv = vector(f)
-    if not is_admissible(alg, fv):
-        raise ValueError("covector does not annihilate the bracket")
-    support = [(j, c) for j, c in enumerate(fv) if c]
-    sums = {}
-    for w, val in alg.structure.items():
-        for j, c in support:
-            s, key = sort_with_sign((j,) + w)
-            if s:
-                oracle_accumulate(sums.setdefault(key, {}), val, c * s)
-    structure = {key: oracle_from_coords(coords, alg.dim) for key, coords in sums.items()}
-    return NLieAlgebra(alg.n + 1, alg.space, structure)
-
 
 # ---------------------------------------------------------------------------
 # inputs and exact comparison
@@ -384,6 +160,7 @@ def test_mul_vec_matches_the_fraction_sums():
 
 
 def test_apply_map_matches_the_fraction_leaves():
+    """Against the recursive expansion, on rational, mixed and int arguments."""
     rng = random.Random(203)
     cases = nonzero_cases = 0
     for n, blocks, dim_s, dim_t in map_shapes():
@@ -407,6 +184,7 @@ def test_apply_map_matches_the_fraction_leaves():
 
 
 def test_brackets_and_actions_match_the_fraction_leaves(reps, operator_corpus):
+    """Against the recursive expansion, on rational, mixed and int arguments."""
     rng = random.Random(204)
     pairs = pair_corpus(reps, rng) + [t.rep for t in operator_corpus]
     pairs += [broken_algebra(rng, t.rep) for t in operator_corpus
@@ -483,7 +261,7 @@ def test_lift_cochain_and_raise_arity_match_the_fraction_sums(reps, algebras):
             got = raise_arity(alg, scaled)
             want = oracle_raise_arity(alg, scaled)
             assert (got.n, got.space) == (want.n, want.space)
-            assert list(got.structure.items()) == list(want.structure.items())
+            assert got.structure == want.structure
             assert fractions_only(*got.structure.values())
     nonzero_cases = 0
     for p, f in cases:

@@ -1,30 +1,29 @@
-"""The all-Fraction graded bracket and the in-order elimination, kept as the
-oracle for the integer bracket and the shortest-first elimination.
+"""The integer graded bracket and the shortest-first elimination against
+their oracles, on rational and densely based inputs.
 
-`oracle_compose`, `oracle_graded_bracket`, `oracle_integer_row` and
-`oracle_rref` are the bodies that summed the bracket's coefficients as
-Fractions and eliminated rows in input order.  Production code carries
-integral coefficients as ints and takes rows shortest first; the tests
-below require the same values, and Fractions wherever a value leaves a
-kernel.
+Production code carries integral coefficients as ints and eliminates
+primitive integer rows shortest first.  The tests below require the values
+of the per-key bracket (`oracles.oracle_graded_bracket`) and of dense
+Gauss-Jordan elimination (`oracles.dense_echelon`), and Fractions wherever
+a value leaves a kernel: an int leaked out of an int kernel compares equal
+to its Fraction, so equality with an oracle cannot see it.
 """
 import itertools
 import random
 import sys
 from fractions import Fraction
-from math import gcd, lcm
 from pathlib import Path
 
 from conftest import broken_action, broken_algebra, random_homogeneous
+from oracles import (dense_rank_and_kernel, dense_rref, dense_solve_linear,
+                     oracle_bracket_table, oracle_derived_bracket)
 
 from nlie import BlockMap, Matrix, NLieAlgebra, Representation, SpaceSpec, adjoint_rep
-from nlie import linalg, rota_baxter
-from nlie.cochain import (_shuffled, check_mc_pair, coboundary, coboundary_matrix,
-                          graded_bracket)
-from nlie.combinat import shuffles, sort_with_sign
+from nlie import linalg
+from nlie.cochain import check_mc_pair, coboundary, coboundary_matrix, graded_bracket
 from nlie.core import semidirect_blockmap
-from nlie.linalg import _eliminate, _rref, kernel_basis, solve_linear
-from nlie.multilinear import basis_entries, iter_keys, sum_space
+from nlie.linalg import _rref, kernel_basis, solve_linear
+from nlie.multilinear import iter_keys, sum_space
 from nlie.rota_baxter import (DerivedContext, RBOperator, derived_bracket,
                               matrix_to_cochain, rb_coboundary_matrix)
 
@@ -33,84 +32,6 @@ import gen  # noqa: E402
 
 # coefficients for random structures: integers and non-integral rationals
 POOL = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))
-
-
-# ---------------------------------------------------------------------------
-# the oracle kernels
-# ---------------------------------------------------------------------------
-
-def oracle_compose(P: BlockMap, Q: BlockMap, sign: int, out: dict) -> None:
-    """Add sign·(P∘Q) to `out` (key -> coordinate list)."""
-    p, q = P.blocks, Q.blocks
-    dim = P.target.dim
-    hits: dict[int, list] = {}
-    for blocks, tail, v in basis_entries(Q):
-        for c, y in enumerate(v):
-            if y:
-                hits.setdefault(c, []).append((blocks, tail, y))
-
-    def add(key, coeff, nz):
-        row = out.get(key)
-        if row is None:
-            row = out[key] = [Fraction(0)] * dim
-        for r, z in nz:
-            row[r] += coeff * z
-
-    for B, x, value in basis_entries(P):
-        nz = [(r, z) for r, z in enumerate(value) if z]
-        # Q's value inserted into block k of P
-        for k in range(1, p + 1):
-            base = sign * (-1) ** ((k - 1) * q)
-            block = B[k - 1]
-            for j, c in enumerate(block):
-                for Y, e, y in hits.get(c, ()):
-                    s, consumed = sort_with_sign(block[:j] + (e,) + block[j + 1:])
-                    if not s:
-                        continue
-                    after = (consumed,) + B[k:] + (x,)
-                    for perm, sgn in shuffles(k - 1, q):
-                        add(_shuffled(perm, B[:k - 1] + Y) + after, base * sgn * s * y, nz)
-        # Q's value fed to P's tail
-        base = sign * (-1) ** (p * q)
-        for Y, e, y in hits.get(x, ()):
-            for perm, sgn in shuffles(p, q):
-                add(_shuffled(perm, B + Y) + (e,), base * sgn * y, nz)
-
-
-def oracle_graded_bracket(P: BlockMap, Q: BlockMap) -> BlockMap:
-    """Graded commutator P∘Q − (−1)^{pq} Q∘P of two block maps."""
-    out: dict = {}
-    oracle_compose(P, Q, 1, out)
-    oracle_compose(Q, P, -(-1) ** (P.blocks * Q.blocks), out)
-    return BlockMap(P.n, P.blocks + Q.blocks, P.source, P.target,
-                    {k: tuple(v) for k, v in out.items()})
-
-
-def oracle_integer_row(row) -> dict[int, int]:
-    nz = {j: x for j, x in enumerate(row) if x}
-    den = lcm(*(x.denominator for x in nz.values()))
-    row = {j: x.numerator * (den // x.denominator) for j, x in nz.items()}
-    g = gcd(*row.values())
-    return row if g == 1 else {j: x // g for j, x in row.items()}
-
-
-def oracle_rref(entries, ncols: int) -> list[tuple[int, dict[int, int]]]:
-    """Reduced row echelon form, eliminating rows in input order."""
-    pivots: dict[int, dict[int, int]] = {}
-    for raw in entries:
-        row = oracle_integer_row(raw)
-        for c in [c for c in row if c in pivots]:
-            row = _eliminate(row, pivots[c], c)
-        if not row:
-            continue
-        c = min(row)
-        for pc, prow in pivots.items():
-            if c in prow:
-                pivots[pc] = _eliminate(prow, row, c)
-        pivots[c] = row
-        if len(pivots) == ncols:
-            break
-    return sorted(pivots.items())
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +82,7 @@ def all_fractions(values) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the integer bracket against the oracle
+# the integer bracket against the per-key one
 # ---------------------------------------------------------------------------
 
 def test_self_bracket_of_the_lift_equals_the_oracle(reps):
@@ -174,7 +95,8 @@ def test_self_bracket_of_the_lift_equals_the_oracle(reps):
     verdicts = set()
     for rep in pairs:
         delta = semidirect_blockmap(rep)
-        got, want = graded_bracket(delta, delta), oracle_graded_bracket(delta, delta)
+        got = graded_bracket(delta, delta)
+        want = oracle_bracket_table(delta, delta)
         assert got == want, rep
         assert all_fractions(got.table.values())
         verdict = check_mc_pair(rep.algebra, rep)
@@ -196,17 +118,17 @@ def test_graded_bracket_equals_the_oracle_on_rational_maps():
                              {key: tuple(rng.choice(POOL) for _ in range(space.dim))
                               for key in iter_keys(space.dim, n - 1, q) if rng.random() < 0.4})
                 got = graded_bracket(P, Q)
-                assert got == oracle_graded_bracket(P, Q), (n, dg, dv, p, q)
+                assert got == oracle_bracket_table(P, Q), (n, dg, dv, p, q)
                 assert all_fractions(got.table.values())
         delta = semidirect_blockmap(rational_pair(rng, n, dg, dv))
         for blocks in (1, 2):
             hom = random_homogeneous(rng, n, blocks, dg, dv, blocks * (n - 1), 0)
-            assert graded_bracket(delta, hom) == oracle_graded_bracket(delta, hom)
+            assert graded_bracket(delta, hom) == oracle_bracket_table(delta, hom)
 
 
-def test_derived_brackets_equal_the_oracle(operator_corpus, monkeypatch):
+def test_derived_brackets_equal_the_oracle(operator_corpus):
     """The n-fold derived bracket of operator cochains, valid, scaled by −1/2
-    and perturbed, under the integer and the all-Fraction bracket."""
+    and perturbed, under the integer and the per-key bracket."""
     rng = random.Random(13)
     inputs = []
     for t in operator_corpus:
@@ -216,8 +138,7 @@ def test_derived_brackets_equal_the_oracle(operator_corpus, monkeypatch):
         for m in (t.matrix, t.matrix.scale(Fraction(-1, 2)), t.matrix + bump):
             inputs.append((ctx, [matrix_to_cochain(t.rep, m)] * ctx.n))
     got = [derived_bracket(ctx, cochains) for ctx, cochains in inputs]
-    monkeypatch.setattr(rota_baxter, "graded_bracket", oracle_graded_bracket)
-    assert got == [derived_bracket(ctx, cochains) for ctx, cochains in inputs]
+    assert got == [oracle_derived_bracket(ctx, cochains) for ctx, cochains in inputs]
     assert any(not b.is_zero() for b in got) and any(b.is_zero() for b in got)
     assert all(all_fractions(b.table.values()) for b in got)
 
@@ -241,7 +162,7 @@ def test_kernel_values_are_fractions(reps, operator_corpus):
 
 
 # ---------------------------------------------------------------------------
-# shortest-first elimination against the in-order loop
+# shortest-first elimination against dense Gauss-Jordan
 # ---------------------------------------------------------------------------
 
 def normalized(red) -> list:
@@ -287,26 +208,27 @@ def elimination_cases() -> list[tuple[Matrix, tuple]]:
 
 
 def test_rref_matches_the_in_order_loop():
+    """Against dense Gauss-Jordan, on matrices and augmented systems."""
     for a, b in elimination_cases():
         aug = [row + (linalg.frac(bi),) for row, bi in zip(a.entries, b)]
         for entries, ncols in ((a.entries, a.cols), (aug, a.cols + 1)):
-            assert normalized(_rref(entries, ncols)) == \
-                normalized(oracle_rref(entries, ncols)), (a, b)
+            assert normalized(_rref(entries, ncols)) == dense_rref(entries), (a, b)
 
 
 def test_rref_matches_the_in_order_loop_on_differentials(reps):
+    """Against dense Gauss-Jordan, on the differentials of the catalog and
+    of its densely based pairs."""
     for rep in list(reps) + dense_basis_pairs():
         for m in (1, 2):
             d_m = coboundary_matrix(rep, m)
-            assert normalized(_rref(d_m.entries, d_m.cols)) == \
-                normalized(oracle_rref(d_m.entries, d_m.cols)), (rep, m)
+            assert normalized(_rref(d_m.entries, d_m.cols)) == dense_rref(d_m.entries), (rep, m)
 
 
-def test_kernel_and_solution_vectors_match_the_in_order_loop(monkeypatch):
+def test_kernel_and_solution_vectors_match_the_in_order_loop():
+    """Against dense Gauss-Jordan."""
     cases = elimination_cases()
     got = [(kernel_basis(a), solve_linear(a, b)) for a, b in cases]
-    monkeypatch.setattr(linalg, "_rref", oracle_rref)
-    want = [(kernel_basis(a), solve_linear(a, b)) for a, b in cases]
+    want = [(dense_rank_and_kernel(a)[1], dense_solve_linear(a, b)) for a, b in cases]
     assert got == want
     assert any(s is None for _, s in got) and any(s is not None for _, s in got)
     for basis, sol in got:

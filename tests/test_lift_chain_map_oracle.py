@@ -1,67 +1,24 @@
-"""The chain-map checks of `nlie.lift` against their previous bodies.
+"""The chain-map checks of `nlie.lift` against their oracles.
 
 `pair_chain_map_holds` and `operator_chain_map_holds` take the raised pair
 and the lifted operator from the caller, and above degree 0 the operator
-check is the pair check of the induced pairs.  The bodies below are the
-versions that raised the pair again on every call (and lifted operator
-cochains of degree >= 1 by their own branch); their verdicts must agree
-with the engine's on every case, and each check must both pass and fail.
+check is the pair check of the induced pairs.  Their oracles in
+`oracles.py` raise the pair on every call and lift operator cochains of
+degree >= 1 by their own branch; their verdicts must agree with the
+engine's on every case, and each check must both pass and fail.
 """
 import random
 from fractions import Fraction
 
 from conftest import (arity_raising_configs, broken_action, broken_algebra,
                       rand_frac, random_blockmap, random_wedge_tail_cochain)
+from oracles import oracle_operator_chain_map_holds, oracle_pair_chain_map_holds
 
-from nlie.cochain import coboundary
-from nlie.combinat import blocks_of, sort_with_sign
+from nlie.combinat import blocks_of
 from nlie.core import Representation
-from nlie.lift import (find_center, induced_covector, is_admissible, is_central,
-                       lift_cochain, lift_operator, operator_chain_map_holds,
+from nlie.lift import (find_center, is_admissible, is_central, operator_chain_map_holds,
                        pair_chain_map_holds, raise_arity_rep)
-from nlie.linalg import vector
-from nlie.rota_baxter import RBOperator, Wedge, rb_coboundary
-
-
-def reference_lift_operator_cochain(c, t, f, x0):
-    """Raise an operator cochain: wedge with the central element at degree 0,
-    identity at degree 1, covector-weighted interior products above.  Only
-    the degree-0 rule reads x0."""
-    if isinstance(c, Wedge):
-        if x0 is None or not is_central(t.rep, x0):
-            raise ValueError("x0 is not central in the semidirect product")
-        dg = t.algebra.dim
-        xi = vector(x0)[:dg]
-        n = t.algebra.n
-        coeffs: dict[tuple[int, ...], Fraction] = {}
-        for block, cf in c.coeffs.items():
-            for j in range(dg):
-                if xi[j] == 0:
-                    continue
-                s, sb = sort_with_sign(block + (j,))
-                if s == 0:
-                    continue
-                k = coeffs.get(sb, Fraction(0)) + cf * xi[j] * s
-                coeffs[sb] = k
-        return Wedge(dg, n, {k: v for k, v in coeffs.items() if v != 0})
-    return lift_cochain(c, induced_covector(t, f))
-
-
-def reference_pair_chain_map_holds(rep, f, p):
-    """Differential-then-lift equals lift-then-differential for pair cochains."""
-    raised = raise_arity_rep(rep, f)
-    lhs = coboundary(raised, lift_cochain(p, f))
-    rhs = lift_cochain(coboundary(rep, p), f)
-    return lhs == rhs
-
-
-def reference_operator_chain_map_holds(t, f, x0, c):
-    """Same commuting square for operator cochains, degree 0 included."""
-    lifted = lift_operator(t, f)
-    lhs = rb_coboundary(lifted, reference_lift_operator_cochain(c, t, f, x0))
-    rhs_low = rb_coboundary(t, c)
-    rhs = reference_lift_operator_cochain(rhs_low, t, f, x0)
-    return lhs == rhs
+from nlie.rota_baxter import RBOperator, Wedge
 
 
 def outcome(check, *args):
@@ -95,11 +52,11 @@ def compare_on(rep, f, tmat, rng, blocks, verdicts):
         for make in (random_wedge_tail_cochain, random_blockmap):
             p = make(rng, n, b, dg, dv)
             got = pair_chain_map_holds(rep, raised, f, p)
-            assert got == reference_pair_chain_map_holds(rep, f, p)
+            assert got == oracle_pair_chain_map_holds(rep, f, p)
             verdicts["pair"].add(got)
             c = make(rng, n, b, dv, dg)
             got = operator_chain_map_holds(t, lifted, f, None, c)
-            assert got == reference_operator_chain_map_holds(t, f, None, c)
+            assert got == oracle_operator_chain_map_holds(t, f, None, c)
             verdicts["operator"].add(got)
     zero = tuple(Fraction(0) for _ in range(dg + dv))
     centrals = normalized_central(rep, f)
@@ -109,7 +66,7 @@ def compare_on(rep, f, tmat, rng, blocks, verdicts):
     w = Wedge(dg, n - 1, {k: rand_frac(rng) for k in blocks_of(dg, n - 1)})
     for x0 in x0s:
         got = outcome(operator_chain_map_holds, t, lifted, f, x0, w)
-        assert got == outcome(reference_operator_chain_map_holds, t, f, x0, w)
+        assert got == outcome(oracle_operator_chain_map_holds, t, f, x0, w)
         verdicts["degree0"].add(got)
 
 

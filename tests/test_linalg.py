@@ -1,72 +1,17 @@
+"""Exact rank, kernels and solutions, against the dense Gauss-Jordan oracle
+(`oracles.dense_echelon`)."""
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_rank_and_kernel, dense_solve_linear
+
 from nlie.cochain import coboundary_matrix
-from nlie.linalg import (Matrix, basis_vec, kernel_basis, rank, solve_linear,
-                         vector, viszero)
+from nlie.linalg import Matrix, basis_vec, kernel_basis, rank, solve_linear, vector, viszero
 from nlie.rota_baxter import rb_coboundary_matrix
 
 entries = st.integers(min_value=-5, max_value=5)
-
-
-# ---------------------------------------------------------------------------
-# dense Gauss-Jordan on Fraction rows: the reference for the sparse routine
-# ---------------------------------------------------------------------------
-
-def _dense_echelon(rows):
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def dense_rank_and_kernel(m):
-    """(rank, kernel basis) from one dense elimination."""
-    if m.cols == 0:
-        return 0, []
-    if m.rows == 0:
-        return 0, [basis_vec(m.cols, j) for j in range(m.cols)]
-    red, pivots = _dense_echelon(m.entries)
-    basis = []
-    for fc in (c for c in range(m.cols) if c not in pivots):
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return len(pivots), basis
-
-
-def dense_solve_linear(a, b):
-    b = vector(b)
-    if a.cols == 0:
-        return () if viszero(b) else None
-    red, pivots = _dense_echelon([list(row) + [bi] for row, bi in zip(a.entries, b)])
-    if a.cols in pivots:
-        return None
-    x = [Fraction(0)] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][a.cols]
-    return tuple(x)
 
 
 def assert_matches_dense(m, rhs):

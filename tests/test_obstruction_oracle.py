@@ -2,43 +2,22 @@
 
 θ is the order-(m+1) coefficient residual, totally antisymmetric in its n
 arguments from V, so `obstruction` evaluates it once per increasing tuple
-and fills the other keys by sign.  `oracle_obstruction` is the loop it
-replaced, which evaluates the residual at every (block, tail) key; both
-must give the same `BlockMap`, entry for entry, on every jet below, valid
-or not.
+and fills the other keys by sign.  `oracles.oracle_obstruction` evaluates
+the residual at every (block, tail) key; both must give the same
+`BlockMap`, entry for entry, on every jet below, valid or not.
 """
 import random
 from fractions import Fraction
 
 from conftest import broken_action, random_matrix
+from oracles import oracle_obstruction
 
 from nlie import Matrix, adjoint_rep
-from nlie.deformation import DeformationJet, ObstructionClass, obstruction
-from nlie.linalg import kernel_basis, viszero
-from nlie.multilinear import BlockMap, SpaceSpec, iter_keys
-from nlie.rota_baxter import (RBOperator, _coefficient_residual, rb_coboundary,
-                              rb_coboundary_matrix, vector_to_matrix_cochain)
+from nlie.deformation import DeformationJet, obstruction
+from nlie.linalg import kernel_basis
+from nlie.rota_baxter import RBOperator, rb_coboundary_matrix, vector_to_matrix_cochain
 
 OBSTRUCTED_SL2_T1 = Matrix([[2, -1, -1], [2, -1, 2], [-2, -2, 0]])
-
-
-def oracle_obstruction(jet: DeformationJet) -> ObstructionClass:
-    """The degree-2 cochain blocking extension, with its cocycle property."""
-    base = jet.base
-    n, dg, dv = base.algebra.n, base.algebra.dim, base.rep.dim_v
-    ops = jet.operators()
-    m = jet.order
-    src = SpaceSpec(dv, "V")
-    tgt = SpaceSpec(dg, "g")
-    table = {}
-    for key in iter_keys(dv, n - 1, 1):
-        vs = key[0] + (key[-1],)
-        val = _coefficient_residual(ops, base, m + 1, vs)
-        if not viszero(val):
-            table[key] = val
-    theta = BlockMap(n, 1, src, tgt, table)
-    checked = rb_coboundary(base, theta).is_zero()
-    return ObstructionClass(jet, theta, checked)
 
 
 def broken_operator(rng: random.Random, t: RBOperator) -> RBOperator:

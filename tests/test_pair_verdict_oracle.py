@@ -1,25 +1,20 @@
 """`verify` and `lift` read both pair verdicts off one [δ, δ].
 
-`oracle_pair_entries` is the entry code the two commands ran before: both
-direct checkers, always.  When [δ, δ] vanishes both entries pass without
-them; when it does not, the direct checkers still run, so the entries,
-witnesses and details must be the oracle's on every pair below.
+`oracles.oracle_pair_entries` runs both direct checkers, always.  When
+[δ, δ] vanishes both entries pass without them; when it does not, the
+direct checkers still run, so the entries, witnesses and details must be
+the oracle's on every pair below.
 """
 import itertools
 import random
 
 from conftest import broken_action, broken_algebra
+from oracles import oracle_pair_entries
 
 from nlie import (Matrix, Representation, SpaceSpec, abelian, adjoint_rep, cli,
                   coadjoint_rep, core)
-from nlie.cli import _check_entry, _pair_entries
-from nlie.core import check_filippov, check_representation
+from nlie.cli import _pair_entries
 from nlie.lift import admissible_covectors, raise_arity_rep
-
-
-def oracle_pair_entries(rep: Representation, prefix: str = "") -> list[dict]:
-    return [_check_entry(prefix + "filippov", check_filippov(rep.algebra)),
-            _check_entry(prefix + "representation", check_representation(rep))]
 
 
 def random_action(rng: random.Random, n: int, dim: int, dim_v: int) -> Representation:

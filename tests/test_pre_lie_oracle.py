@@ -2,87 +2,23 @@
 they come from: a product is n-pre-Lie iff its left multiplication is a
 representation of its sub-adjacent algebra, and the compatible product of a
 symplectic form is the product of the operator the form defines on the
-coadjoint pair.  The hand-expanded formulas they replaced stay here as
-oracles; every comparison is exact."""
-import itertools
+coadjoint pair.  The hand-expanded formulas of `oracles.py`, both defining
+identities and the pairing against bracket-with-tail, are their oracles;
+every comparison is exact."""
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_matrix
-from nlie import (Matrix, NLieAlgebra, SymplecticForm, abelian,
-                  check_n_pre_lie, check_symplectic, pre_lie_from_table,
-                  symplectic_to_pre_lie)
-from nlie.combinat import blocks_of
-from nlie.core import CheckReport, NPreLie
+from oracles import oracle_check_n_pre_lie, oracle_symplectic_to_pre_lie
+from nlie import (Matrix, SymplecticForm, abelian, check_n_pre_lie, check_symplectic,
+                  pre_lie_from_table, symplectic_to_pre_lie)
+from nlie.core import NPreLie
 from nlie.lift import admissible_covectors, lift_operator
-from nlie.linalg import basis_vec, rank, solve_linear, vadd, viszero, vscale, vzero
-from nlie.multilinear import BlockMap, Element, iter_keys
+from nlie.linalg import rank, vadd
+from nlie.multilinear import BlockMap, iter_keys
 from nlie.rota_baxter import RBOperator, pre_lie_of_operator
-
-# ---------------------------------------------------------------------------
-# reference implementations: both identities and the compatible product
-# written out by hand
-# ---------------------------------------------------------------------------
-
-
-def reference_check_n_pre_lie(p: NPreLie) -> CheckReport:
-    """Both defining identities; sorted tuples where both sides are
-    antisymmetric, full ranges for the remaining slots."""
-    n, d = p.n, p.dim
-    for xs in itertools.combinations(range(d), n - 1):
-        for ys_head in itertools.combinations(range(d), n - 1):
-            for yn in range(d):
-                ys = (*ys_head, yn)
-                lhs = p.prod([*xs, p.prod(list(ys))])
-                rhs = vzero(d)
-                for i in range(n - 1):
-                    args: list[Element] = list(ys)
-                    args[i] = p.commutator_bracket([*xs, ys[i]])
-                    rhs = vadd(rhs, p.prod(args))
-                rhs = vadd(rhs, p.prod([*ys[:-1], p.prod([*xs, ys[-1]])]))
-                if lhs != rhs:
-                    return CheckReport(False, witness=(xs, ys),
-                                       lhs=lhs, rhs=rhs, detail="first identity fails")
-    for ys in itertools.combinations(range(d), n):
-        for xs_head in itertools.combinations(range(d), n - 2):
-            for xlast in range(d):
-                xs = (*xs_head, xlast)
-                lhs = p.prod([p.commutator_bracket(list(ys)), *xs])
-                rhs = vzero(d)
-                for i in range(n):
-                    rest = ys[:i] + ys[i + 1:]
-                    inner = p.prod([ys[i], *xs])
-                    term = p.prod([*rest, inner])
-                    rhs = vadd(rhs, vscale(term, Fraction((-1) ** (n - 1 - i))))
-                if lhs != rhs:
-                    return CheckReport(False, witness=(ys, xs),
-                                       lhs=lhs, rhs=rhs, detail="second identity fails")
-    return CheckReport(True)
-
-
-def reference_symplectic_to_pre_lie(alg: NLieAlgebra, form: SymplecticForm) -> NPreLie:
-    """The compatible product defined by pairing against bracket-with-tail."""
-    d, n = alg.dim, alg.n
-    wt = form.omega.transpose()
-    table = {}
-    for block in blocks_of(d, n - 1):
-        for t in range(d):
-            # omega(c, e_y) = -omega(e_t, [block..., e_y]) for all y
-            rhs = []
-            for y in range(d):
-                inner = alg.bracket([*block, y])
-                rhs.append(-form.pairing(basis_vec(d, t), inner))
-            c = solve_linear(wt, rhs)
-            if c is None:
-                raise ValueError("degenerate form")
-            if not viszero(c):
-                table[(block, t)] = c
-    space = alg.space
-    bm = BlockMap(n, 1, space, space, table)
-    return NPreLie(n, space, bm)
-
 
 # ---------------------------------------------------------------------------
 # inputs
@@ -146,7 +82,7 @@ def products(algebras, operator_corpus):
 def test_check_n_pre_lie_matches_reference(products):
     verdicts = []
     for p in products:
-        got, want = check_n_pre_lie(p), reference_check_n_pre_lie(p)
+        got, want = check_n_pre_lie(p), oracle_check_n_pre_lie(p)
         assert got.holds == want.holds
         verdicts.append(got.holds)
         if not got.holds:
@@ -174,7 +110,7 @@ def test_symplectic_product_matches_reference(algebras):
     nonzero = 0
     for alg, form in cases:
         got = symplectic_to_pre_lie(alg, form)
-        want = reference_symplectic_to_pre_lie(alg, form)
+        want = oracle_symplectic_to_pre_lie(alg, form)
         assert (got.n, got.space) == (want.n, want.space)
         assert got.product.table == want.product.table
         nonzero += bool(got.product.table)

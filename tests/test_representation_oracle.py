@@ -1,61 +1,21 @@
 """A representation is checked as the fundamental identity of g ⋉ V.
 
-`reference_check_representation` is the matrix form it replaced: the
-commutator identity and the bracket compatibility written out with action
-matrices, kept here as the oracle.  The two must give the same verdict, the
-same witness and the same detail on every input."""
+`oracles.oracle_check_representation` is its matrix form: the commutator
+identity and the bracket compatibility written out with action matrices.
+The two must give the same verdict, the same witness and the same detail on
+every input."""
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
 from conftest import broken_action, broken_algebra, one_block_action_pair
+from oracles import oracle_check_representation
 from nlie import (Matrix, NLieAlgebra, Representation, SpaceSpec, abelian,
                   adjoint_rep, check_representation, coadjoint_rep,
                   left_mult_rep, pre_lie_from_table, zero_representation)
-from nlie.core import CheckReport
 from nlie.lift import admissible_covectors, raise_arity_rep
-from nlie.multilinear import Element, iter_keys
-
-# ---------------------------------------------------------------------------
-# reference implementation: both identities as matrix equations
-# ---------------------------------------------------------------------------
-
-
-def reference_check_representation(rep: Representation) -> CheckReport:
-    """Both representation identities, exhaustively on basis tuples."""
-    alg = rep.algebra
-    n, d = alg.n, alg.dim
-    # commutator identity: [rho(X), rho(Y)] = rho(X o Y)
-    for xs in itertools.combinations(range(d), n - 1):
-        rx = rep.operator(list(xs))
-        for ys in itertools.combinations(range(d), n - 1):
-            ry = rep.operator(list(ys))
-            lhs = rx.matmul(ry) - ry.matmul(rx)
-            rhs = Matrix.zero(rep.dim_v, rep.dim_v)
-            for i in range(n - 1):
-                args: list[Element] = list(ys)
-                args[i] = alg.bracket([*xs, ys[i]])
-                rhs = rhs + rep.operator(args)
-            if lhs != rhs:
-                return CheckReport(False, witness=(xs, ys),
-                                   detail="commutator identity fails")
-    # derivation-style identity against the bracket
-    for xs in itertools.combinations(range(d), n - 2):
-        for ys in itertools.combinations(range(d), n):
-            lhs_m = rep.operator([*xs, alg.bracket(list(ys))])
-            rhs_m = Matrix.zero(rep.dim_v, rep.dim_v)
-            for i in range(n):
-                rest = ys[:i] + ys[i + 1:]
-                sign = Fraction((-1) ** (n - 1 - i))
-                rhs_m = rhs_m + rep.operator(list(rest)).matmul(
-                    rep.operator([*xs, ys[i]])).scale(sign)
-            if lhs_m != rhs_m:
-                return CheckReport(False, witness=(xs, ys),
-                                   detail="bracket compatibility fails")
-    return CheckReport(True)
-
+from nlie.multilinear import iter_keys
 
 # ---------------------------------------------------------------------------
 # inputs
@@ -109,7 +69,7 @@ def corpus(algebras, operator_corpus):
 def test_check_representation_matches_reference(corpus):
     details = []
     for rep in corpus:
-        got, want = check_representation(rep), reference_check_representation(rep)
+        got, want = check_representation(rep), oracle_check_representation(rep)
         assert (got.holds, got.witness, got.detail) == (want.holds, want.witness, want.detail)
         assert got.lhs is None and got.rhs is None
         details.append(got.detail)

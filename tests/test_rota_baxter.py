@@ -173,7 +173,7 @@ def test_induced_structures(operator_corpus):
         # morphism property
         for key in itertools.combinations(range(op.rep.dim_v), op.algebra.n):
             lhs = op.matrix.mul_vec(ib.bracket(list(key)))
-            rhs = op.algebra.bracket([op.apply(u) for u in key])
+            rhs = op.algebra.bracket([op.matrix.column(u) for u in key])
             assert lhs == rhs
 
 

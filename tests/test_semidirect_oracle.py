@@ -1,94 +1,26 @@
 """g ⋉ V is built from the pair's tables, and every pair construction reads
 that one bracket.
 
-The three bodies it replaced stay here as exact oracles: the vector-form
-semidirect bracket with its own sign loop, the product that evaluated it on
-every basis tuple, and the raise of a pair that summed action matrices.
-Every comparison is exact: tables, brackets, raised pairs and center bases.
+Their oracles in `oracles.py` are the vector-form semidirect bracket with
+its own sign loop, the product that evaluates it on every basis tuple, the
+raise of a pair that sums action matrices, and the center as the kernel of
+the stacked ad-matrices of that bracket.  Every comparison is exact:
+tables, brackets, raised pairs and center bases.
 """
 import itertools
 import random
 from fractions import Fraction
-from typing import Sequence
 
 import pytest
 
 from conftest import broken_action, broken_algebra, one_block_action_pair
+from oracles import (oracle_center, oracle_is_central, oracle_raise_arity_rep,
+                     oracle_semidirect_bracket, oracle_semidirect_product)
 
-from nlie import Matrix, NLieAlgebra, Representation, abelian, adjoint_rep, coadjoint_rep
+from nlie import NLieAlgebra, Representation, abelian, adjoint_rep, coadjoint_rep
 from nlie.core import semidirect_product, zero_representation
-from nlie.lift import (admissible_covectors, find_center, is_central, raise_arity,
-                       raise_arity_rep)
-from nlie.linalg import Vec, basis_vec, kernel_basis, vadd, vector, viszero, vscale, vzero
-from nlie.multilinear import sum_space
-
-# ---------------------------------------------------------------------------
-# the replaced bodies, verbatim
-# ---------------------------------------------------------------------------
-
-
-def oracle_semidirect_bracket(rep: Representation, args: Sequence[Vec]) -> Vec:
-    """Semidirect product bracket of sum-space vectors (g coordinates first):
-    ([x_1..x_n], Σ_i (−1)^{n−1−i} ρ(x_1..x̂_i..x_n)u_i), slots with u_i = 0 skipped."""
-    alg = rep.algebra
-    n, dg, dv = alg.n, alg.dim, rep.dim_v
-    xs = [a[:dg] for a in args]
-    vpart = vzero(dv)
-    for i, a in enumerate(args):
-        u = a[dg:]
-        if viszero(u):
-            continue
-        term = rep.act(xs[:i] + xs[i + 1:], u)
-        vpart = vadd(vpart, vscale(term, Fraction((-1) ** (n - 1 - i))))
-    return alg.bracket(xs) + vpart
-
-
-def oracle_semidirect_product(rep: Representation) -> NLieAlgebra:
-    alg = rep.algebra
-    n, dg, dv = alg.n, alg.dim, rep.dim_v
-    total = dg + dv
-    space = sum_space(dg, dv)
-    structure = {}
-    for key in itertools.combinations(range(total), n):
-        v = oracle_semidirect_bracket(rep, [basis_vec(total, i) for i in key])
-        if not viszero(v):
-            structure[key] = v
-    return NLieAlgebra(n, space, structure)
-
-
-def oracle_raise_arity_rep(rep: Representation, f: Sequence) -> Representation:
-    """The companion action of the raised algebra on the same module."""
-    fv = vector(f)
-    alg = rep.algebra
-    raised = raise_arity(alg, fv)
-    n, d = alg.n, alg.dim
-    action = {}
-    for block in itertools.combinations(range(d), n):
-        mat = Matrix.zero(rep.dim_v, rep.dim_v)
-        for i in range(n):
-            c = fv[block[i]]
-            if c == 0:
-                continue
-            rest = block[:i] + block[i + 1:]
-            mat = mat + rep.operator(list(rest)).scale(c * Fraction((-1) ** i))
-        if not mat.is_zero():
-            action[block] = mat
-    return Representation(raised, rep.module, action)
-
-
-def oracle_center(rep: Representation) -> list[Vec]:
-    """Kernel of the stacked ad-matrices of every basis block of g ⋉ V."""
-    total = rep.algebra.dim + rep.dim_v
-    rows = []
-    for block in itertools.combinations(range(total), rep.n - 1):
-        base = [basis_vec(total, i) for i in block]
-        cols = [oracle_semidirect_bracket(rep, base + [basis_vec(total, j)])
-                for j in range(total)]
-        rows += [[col[c] for col in cols] for c in range(total)]
-    if not rows:
-        return [basis_vec(total, j) for j in range(total)]
-    return kernel_basis(Matrix(rows))
-
+from nlie.lift import admissible_covectors, find_center, is_central, raise_arity_rep
+from nlie.linalg import Vec, basis_vec, vadd, vscale, vzero
 
 # ---------------------------------------------------------------------------
 # corpus
@@ -209,8 +141,5 @@ def test_center_matches_the_oracle_center(algebras, operator_corpus):
                 combo = vadd(combo, vscale(z, Fraction(rng.randint(-3, 3))))
             probes.append(combo)
         for x in probes:
-            want = all(viszero(oracle_semidirect_bracket(
-                rep, [basis_vec(total, i) for i in block] + [x]))
-                for block in itertools.combinations(range(total), rep.n - 1))
-            assert is_central(rep, x) == want
+            assert is_central(rep, x) == oracle_is_central(rep, x)
         assert all(is_central(rep, z) for z in center)

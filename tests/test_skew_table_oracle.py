@@ -1,165 +1,35 @@
-"""Skew tables read off their nonzero entries, against the key walks they
-replaced.
+"""Skew tables read off their nonzero entries, against oracles that walk
+every key.
 
 `split_wedges` and `wedge_sums` build every table that is totally
 antisymmetric in its last block and tail, and `basis_entries` is the one
-reader of a table.  The oracles below are the bodies that walked every key
-of the domain instead: `materialize` (in conftest) behind `as_blockmap`,
-the commutator loop of `sub_adjacent`, the per-key `tail_antisymmetrize`,
-`restrict_map` and `bidegree_of`, the (n+1)-subset loop of `raise_arity`
-and the fill loop of `obstruction`, with the loops of `check_rb` and of
-one jet order over increasing V-tuples.  Each must give the same table,
-entry for entry and with Fraction values, on the inputs below.
+reader of a table.  Their oracles in `oracles.py` walk every key of the
+domain instead: `materialize` behind `as_blockmap`, the commutator loop of
+`sub_adjacent`, the per-key `tail_antisymmetrize`, `restrict_map` and
+`bidegree_of`, the (n+1)-subset loop of `raise_arity` and the per-key
+obstruction, with the graph-bracket `check_rb` and the loop of one jet
+order over increasing V-tuples.  Each must give the same table, entry for
+entry and with Fraction values, on the inputs below.
 """
 import itertools
 import random
 from fractions import Fraction
-from typing import Optional
 
-from conftest import (broken_action, broken_algebra, materialize, random_blockmap,
-                      random_homogeneous, random_matrix)
+from conftest import (broken_action, broken_algebra, random_blockmap, random_homogeneous,
+                      random_matrix)
+from oracles import (materialize, oracle_bidegree_of, oracle_check_order, oracle_check_rb,
+                     oracle_obstruction, oracle_raise_arity, oracle_restrict_map,
+                     oracle_sub_adjacent, oracle_tail_antisymmetrize)
 from test_obstruction_oracle import OBSTRUCTED_SL2_T1, broken_operator, jets
 
 from nlie import (BlockMap, Matrix, NLieAlgebra, NPreLie, SpaceSpec, adjoint_rep,
                   sub_adjacent, zero_representation)
-from nlie.core import CheckReport, Representation, semidirect_product
-from nlie.deformation import DeformationJet, ObstructionClass, check_order, obstruction
+from nlie.core import Representation, semidirect_product
+from nlie.deformation import DeformationJet, check_order, obstruction
 from nlie.lift import admissible_covectors, is_admissible, raise_arity, raise_arity_rep
-from nlie.linalg import basis_vec, vadd, vector, viszero, vscale, vzero
-from nlie.multilinear import (_shift, _summand, apply_map, bidegree_of, iter_keys,
-                              restrict_map, sum_space, tail_antisymmetrize)
-from nlie.rota_baxter import (RBOperator, _coefficient_residual, check_rb,
-                              pre_lie_of_operator, rb_coboundary)
-
-
-# ---------------------------------------------------------------------------
-# the key walks
-# ---------------------------------------------------------------------------
-
-def oracle_sub_adjacent(p: NPreLie) -> NLieAlgebra:
-    structure = {}
-    for key in itertools.combinations(range(p.dim), p.n):
-        v = p.commutator_bracket(list(key))
-        if not viszero(v):
-            structure[key] = v
-    return NLieAlgebra(p.n, p.space, structure)
-
-
-def oracle_tail_antisymmetrize(p: BlockMap) -> BlockMap:
-    n, b = p.n, p.blocks
-    if b == 0:
-        return materialize(p)
-    d = p.source.dim
-    table = {}
-    for key in iter_keys(d, n - 1, b):
-        front = list(key[:-2])
-        seq = key[-2] + (key[-1],)
-        total = vzero(p.target.dim)
-        for j in range(n):
-            rest = seq[:j] + seq[j + 1:]
-            val = apply_map(p, front + [list(rest)], seq[j])
-            total = vadd(total, vscale(val, Fraction((-1) ** (n - 1 - j))))
-        total = vscale(total, Fraction(1, n))
-        if not viszero(total):
-            table[key] = total
-    return BlockMap(n, b, p.source, p.target, table)
-
-
-def oracle_restrict_map(f: BlockMap, args: str, values: str) -> BlockMap:
-    a_off, a_dim = _summand(f.source, args)
-    v_off, v_dim = _summand(f.source, values)
-    table = {}
-    for key in iter_keys(a_dim, f.n - 1, f.blocks):
-        v = f.value(_shift(key, a_off))[v_off:v_off + v_dim]
-        if not viszero(v):
-            table[key] = v
-    return BlockMap(f.n, f.blocks, SpaceSpec(a_dim, args), SpaceSpec(v_dim, values), table)
-
-
-def oracle_bidegree_of(f: BlockMap) -> Optional[tuple[int, int]]:
-    split = f.source.split
-    if split is None:
-        raise ValueError("bidegree needs a direct-sum source space")
-    candidate: Optional[tuple[int, int]] = None
-    for key in iter_keys(f.source.dim, f.n - 1, f.blocks):
-        v = f.value(key)
-        if viszero(v):
-            continue
-        slots = [i for blk in key[:-1] for i in blk] + [key[-1]]
-        ng = sum(1 for i in slots if i < split)
-        nv = len(slots) - ng
-        cands = []
-        if not viszero(v[:split]):
-            cands.append((ng - 1, nv))
-        if not viszero(v[split:]):
-            cands.append((ng, nv - 1))
-        for c in cands:
-            if candidate is None:
-                candidate = c
-            elif candidate != c:
-                return None
-    return candidate
-
-
-def oracle_raise_arity(alg: NLieAlgebra, f) -> NLieAlgebra:
-    fv = vector(f)
-    if not is_admissible(alg, fv):
-        raise ValueError("covector does not annihilate the bracket")
-    n, d = alg.n, alg.dim
-    structure = {}
-    for key in itertools.combinations(range(d), n + 1):
-        val = vzero(d)
-        for i in range(n + 1):
-            c = fv[key[i]]
-            if c == 0:
-                continue
-            rest = key[:i] + key[i + 1:]
-            val = vadd(val, vscale(alg.bracket(list(rest)),
-                                   c * Fraction((-1) ** i)))
-        if not viszero(val):
-            structure[key] = val
-    return NLieAlgebra(n + 1, alg.space, structure)
-
-
-def oracle_obstruction(jet: DeformationJet) -> ObstructionClass:
-    base = jet.base
-    n, dg, dv = base.algebra.n, base.algebra.dim, base.rep.dim_v
-    ops = jet.operators()
-    m = jet.order
-    table = {}
-    for vs in itertools.combinations(range(dv), n):
-        val = _coefficient_residual(ops, base, m + 1, vs)
-        if viszero(val):
-            continue
-        neg = vscale(val, Fraction(-1))
-        for k in range(n):
-            table[(vs[:k] + vs[k + 1:], vs[k])] = neg if (n - 1 - k) % 2 else val
-    theta = BlockMap(n, 1, SpaceSpec(dv, "V"), SpaceSpec(dg, "g"), table)
-    checked = rb_coboundary(base, theta).is_zero()
-    return ObstructionClass(jet, theta, checked)
-
-
-def oracle_check_rb(rep: Representation, t: Matrix) -> CheckReport:
-    op = RBOperator(rep, t)
-    for vs in itertools.combinations(range(rep.dim_v), rep.n):
-        if not viszero(_coefficient_residual([t], op, 0, vs)):
-            b = semidirect_product(rep).bracket([op.graph(v) for v in vs])
-            dg = rep.algebra.dim
-            return CheckReport(False, witness=vs, lhs=b[:dg], rhs=t.mul_vec(b[dg:]),
-                               detail="operator identity fails")
-    return CheckReport(True)
-
-
-def oracle_check_order(jet: DeformationJet) -> CheckReport:
-    ops, base = jet.operators(), jet.base
-    n, dv = base.algebra.n, base.rep.dim_v
-    for s in range(jet.order + 1):
-        for vs in itertools.combinations(range(dv), n):
-            res = _coefficient_residual(ops, base, s, vs)
-            if not viszero(res):
-                return CheckReport(False, witness=(s, vs), lhs=res,
-                                   detail=f"order-{s} coefficient equation fails")
-    return CheckReport(True)
+from nlie.linalg import basis_vec, vzero
+from nlie.multilinear import bidegree_of, restrict_map, sum_space, tail_antisymmetrize
+from nlie.rota_baxter import RBOperator, check_rb, pre_lie_of_operator
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +188,9 @@ def test_raise_arity_matches_the_subset_loop(reps, algebras):
 
 
 def test_obstruction_and_checks_match_the_tuple_loops(operator_corpus, algebras):
+    """`check_rb` against the graph bracket, `check_order` against the loop
+    over increasing V-tuples, and `obstruction` against the residual at
+    every key."""
     rng = random.Random(186)
     bases = list(operator_corpus)
     bases += [broken_operator(rng, t) for t in operator_corpus]

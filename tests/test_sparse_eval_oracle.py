@@ -1,13 +1,15 @@
-"""The evaluation kernels read only nonzero coordinates.
+"""The evaluation kernels, which read only nonzero coordinates, against
+their oracles.
 
 `apply_map` takes one product over the nonzero coordinates of its
 arguments, `Matrix.mul_vec` multiplies only by the nonzero entries of its
 vector, the jet residual reads each jet column once and accumulates on
 coordinate dicts, and `lift_cochain` expands each wedge only where the
 covector is nonzero.  `check_rb` is order 0 of the residual, and
-`operator_rep` no longer evaluates the semidirect bracket on graph vectors.
-The bodies they replaced stay below verbatim, as oracles; every comparison
-is exact.
+`operator_rep` does not evaluate the semidirect bracket on graph vectors.
+Their oracles in `oracles.py` do the direct thing: the recursive expansion,
+the dense product, the vector chain, the dense wedge expansion and the
+semidirect bracket of graph vectors.  Every comparison is exact.
 """
 import itertools
 import random
@@ -17,161 +19,18 @@ import pytest
 
 from conftest import (arity_raising_configs, broken_action, random_blockmap,
                       random_matrix, random_wedge_tail_cochain)
+from oracles import (graph, oracle_apply_map, oracle_check_rb, oracle_coefficient_residual,
+                     oracle_lift_cochain, oracle_mul_vec, oracle_operator_rep)
 from test_obstruction_oracle import OBSTRUCTED_SL2_T1, broken_operator, cocycles
 
-from nlie import Matrix, Representation, adjoint_rep
+from nlie import Matrix, adjoint_rep
 from nlie.cochain import coboundary
-from nlie.combinat import blocks_of, compositions, sort_with_sign
-from nlie.core import CheckReport, semidirect_product
+from nlie.core import semidirect_product
 from nlie.deformation import DeformationJet
 from nlie.lift import induced_covector, lift_cochain
-from nlie.linalg import Vec, vadd, vector, viszero, vscale, vsub, vzero
-from nlie.multilinear import BlockMap, LazyMap, SpaceSpec, apply_map, iter_keys
-from nlie.rota_baxter import (RBOperator, _coefficient_residual, check_rb, induced_bracket,
-                              operator_rep)
-
-_ZERO = Fraction(0)
-
-# ---------------------------------------------------------------------------
-# the replaced bodies, verbatim
-# ---------------------------------------------------------------------------
-
-
-def oracle_apply_map(m, blocks, tail) -> Vec:
-    """Evaluate with full multilinear/antisymmetric semantics.
-
-    Block elements and the tail may be basis indices or coefficient vectors;
-    vectors expand over their nonzero coordinates.
-    """
-    for bi, block in enumerate(blocks):
-        for ei, elt in enumerate(block):
-            if not isinstance(elt, int):
-                total = vzero(m.target.dim)
-                for idx, c in enumerate(elt):
-                    if c != 0:
-                        nb = list(block)
-                        nb[ei] = idx
-                        nbs = list(blocks)
-                        nbs[bi] = nb
-                        v = oracle_apply_map(m, nbs, tail)
-                        if not viszero(v):
-                            total = vadd(total, vscale(v, c))
-                return total
-    if not isinstance(tail, int):
-        total = vzero(m.target.dim)
-        for idx, c in enumerate(tail):
-            if c != 0:
-                v = oracle_apply_map(m, blocks, idx)
-                if not viszero(v):
-                    total = vadd(total, vscale(v, c))
-        return total
-    sign = 1
-    key = []
-    for block in blocks:
-        s, sb = sort_with_sign(tuple(block))
-        if s == 0:
-            return vzero(m.target.dim)
-        sign *= s
-        key.append(sb)
-    v = m.value(tuple(key) + (tail,))
-    return vscale(v, Fraction(sign)) if sign != 1 else v
-
-
-def oracle_mul_vec(self, v) -> Vec:
-    v = vector(v)
-    if len(v) != self.cols:
-        raise ValueError("shape mismatch")
-    return tuple(sum((a * b for a, b in zip(row, v)), _ZERO) for row in self.entries)
-
-
-def oracle_coefficient_residual(jet_ops, base, s, vs) -> Vec:
-    """LHS − RHS of the order-s coefficient equation at a basis tuple, summed
-    over the compositions of s into coefficients the jet has."""
-    rep = base.rep
-    alg = rep.algebra
-    n, dg = alg.n, alg.dim
-    total = vzero(dg)
-    for comp in compositions(s, n, len(jet_ops) - 1):
-        imgs = [jet_ops[comp[j]].column(vs[j]) for j in range(n)]
-        total = vadd(total, alg.bracket(imgs))
-        inner = vzero(rep.dim_v)
-        for k in range(n):
-            survivors = [j for j in range(n) if j != k]
-            args = [jet_ops[comp[p + 1]].column(vs[j])
-                    for p, j in enumerate(survivors)]
-            inner = vadd(inner, vscale(rep.act(args, vs[k]),
-                                       Fraction((-1) ** (n - 1 - k))))
-        total = vsub(total, jet_ops[comp[0]].mul_vec(inner))
-    return total
-
-
-def oracle_lift_cochain(p: BlockMap, f) -> BlockMap:
-    """Raise a cochain one arity: interior products by the covector.
-
-    Degree-1 cochains (no blocks) pass through unchanged.  Above that, the
-    last block and the tail are read as one (n+1)-wedge, and the covector
-    drops one element from every block and from that wedge, with the sign
-    of the dropped positions; what is left of the wedge splits into the
-    last block and the tail.  The chain-map identity with the raised
-    differential holds on cochains antisymmetric between the last block and
-    the tail (the wedge-tail subspace; see multilinear.tail_antisymmetrize).
-    """
-    fv = vector(f)
-    n = p.n
-    b = p.blocks
-    if b == 0:
-        return BlockMap(n + 1, 0, p.source, p.target, dict(p.table))
-    d = p.source.dim
-    table = {}
-    for key in iter_keys(d, n, b):
-        wedges = key[:-2] + (key[-2] + (key[-1],),)
-        total = vzero(p.target.dim)
-        for picks in itertools.product(*(range(len(w)) for w in wedges)):
-            coeff = Fraction((-1) ** sum(picks))
-            for w, i in zip(wedges, picks):
-                coeff *= fv[w[i]]
-                if coeff == 0:
-                    break
-            if coeff == 0:
-                continue
-            *blocks, last = (w[:i] + w[i + 1:] for w, i in zip(wedges, picks))
-            total = vadd(total, vscale(p.value((*blocks, last[:-1], last[-1])), coeff))
-        if not viszero(total):
-            table[key] = total
-    return BlockMap(n + 1, b, p.source, p.target, table)
-
-
-def oracle_check_rb(rep: Representation, t: Matrix) -> CheckReport:
-    """The graph of T is closed under the semidirect bracket: on all basis
-    n-tuples of V, g-part = T(V-part) of the bracket of graph vectors."""
-    dg = rep.algebra.dim
-    op = RBOperator(rep, t)
-    sd = semidirect_product(rep)
-    for vs in itertools.combinations(range(rep.dim_v), rep.n):
-        b = sd.bracket([op.graph(v) for v in vs])
-        lhs, rhs = b[:dg], t.mul_vec(b[dg:])
-        if lhs != rhs:
-            return CheckReport(False, witness=vs, lhs=lhs, rhs=rhs,
-                               detail="operator identity fails")
-    return CheckReport(True)
-
-
-def oracle_operator_rep(t: RBOperator) -> Representation:
-    """ρ_T on g: ρ_T(u_1..u_{n-1})x is the twist of the semidirect bracket of
-    the graph vectors of the u_i with (x, 0).  Cached as `t.induced_rep`."""
-    rep = t.rep
-    dg, dv = rep.algebra.dim, rep.dim_v
-    base = induced_bracket(t)
-    sd = semidirect_product(rep)
-    action = {}
-    for block in blocks_of(dv, rep.n - 1):
-        graphs = [t.graph(u) for u in block]
-        cols = [t.twist(sd.bracket([*graphs, x])) for x in range(dg)]
-        mat = Matrix.from_columns(cols)
-        if not mat.is_zero():
-            action[block] = mat
-    return Representation(base, SpaceSpec(dg, "g"), action)
-
+from nlie.linalg import viszero, vzero
+from nlie.multilinear import BlockMap, LazyMap, SpaceSpec, apply_map
+from nlie.rota_baxter import RBOperator, _coefficient_residual, check_rb, operator_rep
 
 # ---------------------------------------------------------------------------
 # random arguments
@@ -254,7 +113,7 @@ def test_brackets_and_actions_match_the_recursive_expansion(reps, operator_corpu
     for t in operator_corpus:
         sd = semidirect_product(t.rep)
         for vs in itertools.product(range(t.rep.dim_v), repeat=t.algebra.n):
-            graphs = [t.graph(v) for v in vs]
+            graphs = [graph(t, v) for v in vs]
             assert sd.bracket(graphs) == oracle_apply_map(sd, [graphs[:-1]], graphs[-1])
 
 
