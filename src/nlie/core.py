@@ -14,11 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Mapping, Optional, Sequence
 
 from .combinat import sort_with_sign
-from .linalg import (Matrix, Vec, basis_vec, rank, solve_linear, vadd,
-                     vector, viszero, vscale, vzero)
+from .linalg import (Coeff, Matrix, Vec, accumulate, basis_vec, from_coords,
+                     nonzero, rank, solve_linear, vadd, vector, viszero, vscale,
+                     vzero)
 from .multilinear import (BlockMap, Element, Key, SpaceSpec, apply_map,
                           basis_entries, split_wedges, sum_space, wedge_sums)
 
@@ -130,8 +132,8 @@ def check_filippov(alg: NLieAlgebra) -> CheckReport:
 class Representation:
     """A candidate action of ∧^{n-1}g on a module by endomorphisms.
 
-    As a 1-block map whose key (block, u) reads column u of the block's
-    matrix, it evaluates through :func:`~nlie.multilinear.apply_map`.
+    As a 1-block map, its key (block, u) reads column u of the block's
+    matrix; :meth:`operator` expands vector arguments into one matrix.
     `differentials` holds the cochain differentials built so far, keyed by
     source degree (see :func:`nlie.cochain.coboundary`).
     """
@@ -184,14 +186,38 @@ class Representation:
         return vzero(self.dim_v) if mat is None else mat.column(u)
 
     def act(self, gargs: Sequence[Element], v: Element) -> Vec:
-        """ρ(gargs)v on possibly unsorted/vector-valued arguments."""
-        if len(gargs) != self.algebra.n - 1:
-            raise ValueError("action arity mismatch")
-        return apply_map(self, [gargs], v)
+        """ρ(gargs)v on possibly unsorted/vector-valued arguments: a column
+        or a product of :meth:`operator`."""
+        m = self.operator(gargs)
+        return m.column(v) if isinstance(v, int) else m.mul_vec(v)
 
     def operator(self, gargs: Sequence[Element]) -> Matrix:
-        """Action matrix ρ(gargs), one act column per module basis vector."""
-        return Matrix.from_columns([self.act(gargs, u) for u in range(self.dim_v)])
+        """Action matrix ρ(gargs) on possibly unsorted/vector-valued arguments.
+
+        As in :func:`~nlie.multilinear.apply_coords`, each argument becomes
+        its nonzero (index, coefficient) pairs, and one product over those
+        lists expands the wedge; a leaf's coefficient, with the sign of
+        sorting its block, is added onto that block.  Then c·ρ(block) is
+        summed entry by entry on one coordinate dict, as ints while
+        integral.
+        """
+        if len(gargs) != self.algebra.n - 1:
+            raise ValueError("action arity mismatch")
+        slots = [((e, 1),) if isinstance(e, int) else nonzero(e) for e in gargs]
+        coeffs: dict[tuple[int, ...], Coeff] = {}
+        for leaf in itertools.product(*slots):
+            idx, cs = zip(*leaf)
+            sign, block = sort_with_sign(idx)
+            if sign and block in self.action:
+                x = prod(cs, start=sign)
+                coeffs[block] = coeffs[block] + x if block in coeffs else x
+        acc: dict[int, Coeff] = {}
+        for block, x in coeffs.items():
+            if x:
+                accumulate(acc, itertools.chain.from_iterable(self.action[block].entries), x)
+        dv = self.dim_v
+        flat = from_coords(acc, dv * dv)
+        return Matrix.from_fraction_rows([flat[i * dv:(i + 1) * dv] for i in range(dv)], dv)
 
     def __repr__(self):
         return f"Representation(n={self.algebra.n}, dim_g={self.algebra.dim}, dim_v={self.dim_v})"

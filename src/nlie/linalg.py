@@ -6,10 +6,11 @@ row-major as tuples of tuples.  Elimination is sparse and fraction-free:
 `rank`, `kernel_basis` and `solve_linear` all read one reduced echelon form
 whose rows are dicts of nonzero entries, kept as primitive integer rows and
 eliminated shortest first.  The kernels that sum many products (the graded
-bracket, `apply_map` and the evaluations built on it, `Matrix.mul_vec`)
-carry a coefficient as a plain int while it is integral (`as_int`): the
-coordinate dicts of `nonzero`, `accumulate` and `accumulate_image` hold ints
-and Fractions, and `from_coords` hands back Fractions (`as_fractions`).
+bracket, `apply_map` and the evaluations built on it, `Matrix.mul_vec`,
+`Matrix.matmul`, `Representation.operator`) carry a coefficient as a plain
+int while it is integral (`as_int`): the coordinate dicts of `nonzero`,
+`accumulate` and `accumulate_image` hold ints and Fractions, and
+`from_coords` hands back Fractions (`as_fractions`).
 """
 from __future__ import annotations
 
@@ -97,7 +98,7 @@ def accumulate(acc: dict[int, Coeff], v: Sequence, c: Coeff = 1) -> None:
 
 
 def accumulate_image(acc: dict[int, Coeff], columns: Sequence[Sequence],
-                     coords: Iterable[tuple[int, Coeff]], c: Coeff = 1) -> None:
+                     coords: Iterable[tuple[int, Coeff]], c: Coeff) -> None:
     """acc += c·M·x, for M given by its columns and x by its (index,
     coefficient) pairs."""
     for u, x in coords:
@@ -179,11 +180,14 @@ class Matrix:
         return Matrix([[c * a for a in row] for row in self.entries])
 
     def matmul(self, other: "Matrix") -> "Matrix":
+        """self·other: the columns of other read once as ints, each entry an
+        int sum over the nonzero entries of its row of self."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = other.transpose().entries
-        return Matrix([[sum((a * b for a, b in zip(row, col)), _ZERO) for col in ot]
-                       for row in self.entries])
+        cols = int_columns(other)
+        return Matrix.from_fraction_rows(
+            [as_fractions(sum(x * col[j] for j, x in nz) for col in cols)
+             for nz in map(nonzero, self.entries)], other.cols)
 
     def mul_vec(self, v: Sequence) -> Vec:
         v = vector(v)
@@ -194,8 +198,9 @@ class Matrix:
                             for row in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
+        """The rows regrouped as columns (no rows give `cols` empty rows)."""
+        return Matrix.from_fraction_rows(list(zip(*self.entries)) or [()] * self.cols,
+                                         self.rows)
 
     def column(self, j: int) -> Vec:
         return tuple(row[j] for row in self.entries)

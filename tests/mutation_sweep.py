@@ -57,8 +57,8 @@ _OBSTRUCTION = ("test_obstruction_oracle.py", "test_skew_table_oracle.py", "test
 _CHAIN = ("test_lift_chain_map_oracle.py", "test_lift.py")
 KERNELS: dict[str, tuple[str, ...]] = {
     "linalg.Matrix.mul_vec": _EVAL,
+    "linalg.Matrix.matmul": ("test_linalg.py", "test_pre_lie_oracle.py", "test_core.py"),
     "linalg.accumulate": _EVAL,
-    "linalg.accumulate_image": _OPERATOR,
     "linalg.from_coords": _EVAL,
     "linalg._integer_row": _RANK,
     "linalg._eliminate": _RANK,
@@ -74,6 +74,8 @@ KERNELS: dict[str, tuple[str, ...]] = {
     "multilinear.tail_antisymmetrize": _SKEW,
     "multilinear.restrict_map": _SKEW,
     "multilinear.bidegree_of": _SKEW,
+    "core.Representation.operator": ("test_evaluation_oracle.py", "test_sparse_eval_oracle.py",
+                                     "test_core.py", "test_lift.py"),
     "core.semidirect_product": _PAIR,
     "core.check_representation": _PAIR,
     "core.symplectic_to_pre_lie": ("test_pre_lie_oracle.py", "test_core.py"),

@@ -8,9 +8,11 @@ dense Gauss-Jordan elimination.  The tests compare each kernel with its
 oracle exactly, on the corpora the test files build; README "Install and
 test" lists which file runs which oracle.  Beyond its own formula, an
 oracle calls the engine only for table lookups (`value`) and for kernels
-that have their own oracle here: it evaluates maps, brackets and actions
-through `apply_map` (checked against `oracle_apply_map`) and products
-through `Matrix.mul_vec` (checked against `oracle_mul_vec`).
+that have their own oracle here: it evaluates maps and brackets through
+`apply_map` (checked against `oracle_apply_map`), actions through
+`Representation.operator` and `act` (checked against `oracle_operator` and
+`oracle_act`), and products through `Matrix.mul_vec` and `Matrix.matmul`
+(checked against `oracle_mul_vec` and `oracle_matmul`).
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ def _is_zero(v) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: apply_map, Matrix.mul_vec, coordinate dicts, tables
+# evaluation: apply_map, actions, Matrix products, coordinate dicts, tables
 # ---------------------------------------------------------------------------
 
 def oracle_apply_map(m, blocks, tail) -> Vec:
@@ -99,11 +101,27 @@ def oracle_act(rep: Representation, gargs, v) -> Vec:
     return oracle_apply_map(rep, [gargs], v)
 
 
+def oracle_operator(rep: Representation, gargs) -> Matrix:
+    """The action matrix of gargs, one oracle action column per basis vector."""
+    return Matrix.from_columns([oracle_act(rep, gargs, u) for u in range(rep.dim_v)])
+
+
 def oracle_mul_vec(m: Matrix, v) -> Vec:
     v = vector(v)
     if len(v) != m.cols:
         raise ValueError("shape mismatch")
     return tuple(sum((a * b for a, b in zip(row, v)), _ZERO) for row in m.entries)
+
+
+def oracle_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Entry (i, j) is the sum of a[i, k]·b[k, j] over every k: row i of a
+    against row j of the transpose of b."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    bt = [[b.entries[k][j] for k in range(b.rows)] for j in range(b.cols)]
+    return Matrix.from_fraction_rows(
+        [tuple(sum((x * y for x, y in zip(row, col)), _ZERO) for col in bt)
+         for row in a.entries], b.cols)
 
 
 def oracle_nonzero(v):

@@ -24,9 +24,9 @@ from nlie.combinat import blocks_of
 from nlie.deformation import (DeformationJet, check_order, extend,
                               find_equivalence, obstruction,
                               obstruction_via_derived)
-from nlie.lift import (admissible_covectors, find_center, is_admissible,
-                       is_central, lift_operator, operator_chain_map_holds,
-                       pair_chain_map_holds, raise_arity, raise_arity_rep)
+from nlie.lift import (find_center, is_admissible, is_central, lift_operator,
+                       operator_chain_map_holds, pair_chain_map_holds, raise_arity,
+                       raise_arity_rep)
 from nlie.linalg import kernel_basis, solve_linear
 from nlie.multilinear import bidegree_of
 from nlie.rota_baxter import (DerivedContext, RBOperator, Wedge, check_rb_mc,

@@ -1,14 +1,16 @@
-"""Brackets, actions and action matrices evaluate through apply_map, and
-g ⋉ V is written from the pair's tables; here they are compared with the
-recursive expansion of `oracles.oracle_apply_map` and with
-`oracles.oracle_semidirect_product`.  Every comparison is exact."""
+"""Brackets evaluate through apply_map, action matrices expand their
+arguments once (`Representation.operator`, which `act` reads), and g ⋉ V is
+written from the pair's tables; here they are compared with the recursive
+expansion of `oracles.oracle_apply_map` (`oracle_operator` column by column)
+and with `oracles.oracle_semidirect_product`.  Every comparison is exact."""
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import materialize, oracle_act, oracle_bracket, oracle_semidirect_product
+from oracles import (materialize, oracle_act, oracle_bracket, oracle_operator,
+                     oracle_semidirect_product)
 
 from nlie import Matrix, NLieAlgebra, Representation, SpaceSpec
 from nlie.combinat import blocks_of
@@ -73,11 +75,6 @@ def test_broken_pairs_are_broken():
         assert not check_filippov(rep.algebra) or not check_representation(rep)
 
 
-def oracle_operator(rep: Representation, gargs) -> Matrix:
-    """The action matrix of gargs, one oracle action column per basis vector."""
-    return Matrix.from_columns([oracle_act(rep, gargs, u) for u in range(rep.dim_v)])
-
-
 def test_bracket_matches_recursive_expansion(algebras):
     rng = random.Random(7)
     algs = list(algebras.values()) + [rep.algebra for rep in BROKEN]
@@ -96,19 +93,61 @@ def test_as_blockmap_matches_reference(algebras):
         assert alg.as_blockmap() == materialize(alg)
 
 
+def all_fractions(values):
+    """Every entry a Fraction: an int that leaked out still compares equal."""
+    return all(type(x) is Fraction for v in values for x in v)
+
+
 def test_act_and_operator_match_recursive_expansion(reps, operator_corpus):
+    """On every basis tuple, repeated and unsorted indices included, and on
+    random mixed arguments with fractional coefficients."""
     rng = random.Random(11)
     for rep in all_pairs(reps, operator_corpus):
         n, dg, dv = rep.algebra.n, rep.algebra.dim, rep.dim_v
         for gargs in itertools.product(range(dg), repeat=n - 1):
-            assert rep.operator(list(gargs)) == oracle_operator(rep, list(gargs))
+            got = rep.operator(list(gargs))
+            assert got == oracle_operator(rep, list(gargs))
+            assert all_fractions(got.entries)
             for u in range(dv):
                 assert rep.act(list(gargs), u) == oracle_act(rep, list(gargs), u)
         for _ in range(40):
             gargs = random_args(rng, n - 1, dg)
-            assert rep.operator(gargs) == oracle_operator(rep, gargs)
+            got = rep.operator(gargs)
+            assert got == oracle_operator(rep, gargs)
+            assert all_fractions(got.entries)
             v = random_element(rng, dv) if dv else vzero(0)
-            assert rep.act(gargs, v) == oracle_act(rep, gargs, v)
+            got = rep.act(gargs, v)
+            assert got == oracle_act(rep, gargs, v)
+            assert all_fractions([got])
+
+
+def test_operator_on_cancelling_and_repeated_vectors(reps, operator_corpus):
+    """Leaves that meet on one block add up: a vector argument given twice,
+    or with its swap, cancels; a vector given once with others keeps its
+    fractional coefficients."""
+    rng = random.Random(12)
+    for rep in all_pairs(reps, operator_corpus):
+        n, dg, dv = rep.algebra.n, rep.algebra.dim, rep.dim_v
+        if n < 3:
+            continue
+        for _ in range(10):
+            x, y = (tuple(rng.choice(ENTRIES[4:]) for _ in range(dg)) for _ in range(2))
+            rest = random_args(rng, n - 3, dg)
+            for gargs in ([x, x, *rest], [x, y, *rest], [y, x, *rest]):
+                got = rep.operator(gargs)
+                assert got == oracle_operator(rep, gargs)
+                assert all_fractions(got.entries)
+            assert rep.operator([x, x, *rest]).is_zero()
+            assert rep.operator([y, x, *rest]) == rep.operator([x, y, *rest]).scale(-1)
+
+
+def test_zero_dimensional_module_operator(algebras):
+    """dim V = 0: every action matrix is 0 x 0 and every action the empty vector."""
+    for alg in algebras.values():
+        rep = Representation(alg, SpaceSpec(0, "V"))
+        gargs = [0] * (alg.n - 1)
+        assert rep.operator(gargs) == oracle_operator(rep, gargs) == Matrix.zero(0, 0)
+        assert rep.act(gargs, vzero(0)) == ()
 
 
 def test_semidirect_blockmap_matches_the_two_lifts(reps, operator_corpus):

@@ -1,8 +1,9 @@
 """Static hygiene of the package source, by stdlib `ast` (no linter needed).
 
-Every name a module of `src/nlie` imports must be used in that module.
-`__init__` is exempt: its imports are the package's public surface, and
-every one of them, like every name a module lists in `__all__`, must exist.
+Every name a module of `src/nlie` or a file of `tests/` imports must be used
+in that file.  `__init__` is exempt: its imports are the package's public
+surface, and every one of them, like every name a module lists in `__all__`,
+must exist.
 Every name a module defines at its top level must be referred to from the
 package, the tests or the benchmark.
 """
@@ -15,6 +16,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nlie"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -52,9 +54,11 @@ def _used(tree: ast.Module) -> set[str]:
 
 def test_scan_sees_every_module():
     assert {p.stem for p in MODULES} >= {"core", "rota_baxter", "io", "cli"}
+    assert {p.stem for p in TEST_FILES} >= {"oracles", "conftest", "test_acceptance"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=lambda p: p.stem if p.parent == SRC else f"tests.{p.stem}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = _used(tree)

@@ -1,11 +1,13 @@
 """Exact rank, kernels and solutions, against the dense Gauss-Jordan oracle
-(`oracles.dense_echelon`)."""
+(`oracles.dense_echelon`); matrix products against `oracles.oracle_matmul`."""
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_rank_and_kernel, dense_solve_linear
+from oracles import dense_rank_and_kernel, dense_solve_linear, oracle_matmul
 
 from nlie.cochain import coboundary_matrix
 from nlie.linalg import Matrix, basis_vec, kernel_basis, rank, solve_linear, vector, viszero
@@ -146,3 +148,62 @@ def test_sparse_elimination_matches_dense_on_corpus(reps, operator_corpus):
     mats += [rb_coboundary_matrix(t, m) for t in operator_corpus for m in (0, 1, 2)]
     for m in mats:
         assert_matches_dense(m, [m.mul_vec([(-1) ** j for j in range(m.cols)])])
+
+
+RATIONALS = [Fraction(0)] * 3 + [Fraction(x) for x in (1, -1, 3, "1/2", "-5/3", "7/4")]
+
+
+def random_rational_matrix(rng, rows, cols):
+    """A rows x cols matrix of small rationals, integral and not; a matrix
+    without rows keeps its column count."""
+    return Matrix.from_fraction_rows(
+        [tuple(rng.choice(RATIONALS) for _ in range(cols)) for _ in range(rows)], cols)
+
+
+def all_fractions(m):
+    return all(type(x) is Fraction for row in m.entries for x in row)
+
+
+def matmul_corpus(reps, operator_corpus):
+    """Random rational products of every small shape, the empty shapes
+    0 x k . k x 0 and k x 0 . 0 x m, and products of differentials: d_2·d_1
+    of each catalog pair over dim g <= 3 (the definitional product of the
+    576 x 96 d_2 of a dim 4 pair takes seconds), d_1·d_0 of each operator,
+    and each differential with a random rational matrix on either side."""
+    rng = random.Random(5)
+    pairs = [(random_rational_matrix(rng, r, k), random_rational_matrix(rng, k, c))
+             for r, k, c in ((1, 1, 1), (2, 3, 4), (4, 4, 4), (3, 5, 2), (5, 1, 3),
+                             (0, 3, 0), (3, 0, 4), (0, 0, 0), (0, 2, 3), (2, 0, 0))
+             for _ in range(8)]
+    diffs = [(coboundary_matrix(rep, 2), coboundary_matrix(rep, 1))
+             for rep in reps if rep.algebra.dim <= 3]
+    diffs += [(rb_coboundary_matrix(t, 1), rb_coboundary_matrix(t, 0)) for t in operator_corpus]
+    for d2, d1 in diffs:
+        pairs += [(d2, d1), (d1, random_rational_matrix(rng, d1.cols, 3)),
+                  (random_rational_matrix(rng, 2, d2.rows), d2)]
+    return pairs
+
+
+def test_matmul_matches_the_definition(reps, operator_corpus):
+    for a, b in matmul_corpus(reps, operator_corpus):
+        got = a.matmul(b)
+        assert got == oracle_matmul(a, b)
+        assert (got.rows, got.cols) == (a.rows, b.cols)
+        assert all_fractions(got)
+
+
+def test_transpose_regroups_the_rows(reps, operator_corpus):
+    for a, b in matmul_corpus(reps, operator_corpus):
+        for m in (a, b):
+            got = m.transpose()
+            expect = [tuple(m.entries[i][j] for i in range(m.rows)) for j in range(m.cols)]
+            assert got == Matrix.from_fraction_rows(expect, m.rows)
+            assert all_fractions(got)
+            assert got.transpose() == m
+
+
+def test_matmul_shape_mismatch_raises():
+    with pytest.raises(ValueError):
+        Matrix.identity(2).matmul(Matrix.identity(3))
+    with pytest.raises(ValueError):
+        Matrix.zero(2, 0).matmul(Matrix.zero(1, 2))
