@@ -14,12 +14,10 @@ from .core import (CheckReport, NLieAlgebra, NPreLie, Representation,
                    coadjoint_rep, left_mult_rep, pre_lie_from_table,
                    semidirect_product, sub_adjacent, symplectic_operator,
                    symplectic_to_pre_lie, zero_representation)
-from .cochain import (check_bidegree_additivity, check_mc_pair, coboundary,
-                      coboundary_matrix, cohomology_dim, graded_bracket,
-                      twisted_differential)
+from .cochain import (check_mc_pair, coboundary, coboundary_matrix,
+                      cohomology_dim, graded_bracket, twisted_differential)
 from .rota_baxter import (DerivedContext, RBOperator, Wedge, check_rb,
-                          check_rb_mc, derived_bracket,
-                          derived_bracket_tt_direct, induced_bracket,
+                          check_rb_mc, derived_bracket, induced_bracket,
                           matrix_to_cochain, operator_rep, pre_lie_of_operator,
                           rb_coboundary, rb_cohomology_dim, twisted_bracket,
                           twisted_mc_holds, wedge_coboundary)

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 from functools import cache
 from math import comb
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from .core import (CheckReport, Representation, SymplecticForm, check_filippov,
                    check_representation, check_symplectic)
@@ -41,22 +41,20 @@ def _fmt_witness(w: Any) -> Any:
     return w
 
 
-def _check_entry(name: str, report: Optional[CheckReport], status: Optional[str] = None) -> dict:
-    if status is not None:
-        return {"check": name, "status": status}
-    entry = {"check": name, "status": "pass" if report.holds else "fail"}
-    if not report.holds:
-        if report.witness is not None:
-            entry["witness"] = _fmt_witness(report.witness)
-        if report.detail:
-            entry["detail"] = report.detail
+def _entry(name: str, outcome: Union[CheckReport, bool, str], witness: Any = None,
+           detail: str = "", **extra) -> dict:
+    """One check entry from a status, a pass/fail bool or a report, whose
+    witness and detail are named when it fails."""
+    if isinstance(outcome, CheckReport) and not outcome.holds:
+        witness, detail = outcome.witness, outcome.detail
+    entry = {"check": name,
+             "status": outcome if isinstance(outcome, str) else "pass" if outcome else "fail"}
+    if witness is not None:
+        entry["witness"] = _fmt_witness(witness)
+    if detail:
+        entry["detail"] = detail
+    entry.update(extra)
     return entry
-
-
-def _bool_entry(name: str, ok: bool, **extra) -> dict:
-    d = {"check": name, "status": "pass" if ok else "fail"}
-    d.update(extra)
-    return d
 
 
 def _emit(report: dict, as_json: bool, elapsed_ms: float) -> int:
@@ -89,26 +87,24 @@ def _pair_entries(rep: Representation, prefix: str = "") -> list[dict]:
     passes both when it vanishes; otherwise the direct checkers run, to
     name the witnesses."""
     if check_mc_pair(rep.algebra, rep):
-        return [_check_entry(prefix + "filippov", None, status="pass"),
-                _check_entry(prefix + "representation", None, status="pass")]
-    return [_check_entry(prefix + "filippov", check_filippov(rep.algebra)),
-            _check_entry(prefix + "representation", check_representation(rep))]
+        return [_entry(prefix + "filippov", True), _entry(prefix + "representation", True)]
+    return [_entry(prefix + "filippov", check_filippov(rep.algebra)),
+            _entry(prefix + "representation", check_representation(rep))]
 
 
 def cmd_verify(prob: Problem) -> dict:
     checks = _pair_entries(prob.rep)
     if prob.operator is not None:
-        checks.append(_check_entry("rota_baxter", check_rb(prob.rep, prob.operator)))
+        checks.append(_entry("rota_baxter", check_rb(prob.rep, prob.operator)))
     else:
-        checks.append(_check_entry("rota_baxter", None, status="absent"))
+        checks.append(_entry("rota_baxter", "absent"))
     if prob.omega is not None:
-        checks.append(_check_entry("symplectic",
-                                   check_symplectic(prob.algebra, SymplecticForm(prob.omega))))
+        checks.append(_entry("symplectic",
+                             check_symplectic(prob.algebra, SymplecticForm(prob.omega))))
     else:
-        checks.append(_check_entry("symplectic", None, status="absent"))
+        checks.append(_entry("symplectic", "absent"))
     if prob.covector is not None:
-        checks.append(_bool_entry("admissible_covector",
-                                  is_admissible(prob.algebra, prob.covector)))
+        checks.append(_entry("admissible_covector", is_admissible(prob.algebra, prob.covector)))
     return {"command": "verify", "checks": checks}
 
 
@@ -123,14 +119,16 @@ MAX_DIFFERENTIAL_ENTRIES = 4_000_000
 
 def oversized_differential(prob: Problem, max_m: int, target: str,
                            limit: int) -> Optional[tuple[int, int, int]]:
-    """(m, rows, cols) of the first differential d_m of the table with more
-    than `limit` entries, or None.
+    """(m, rows, cols) of the first differential d_m of the table that costs
+    more than `limit`, or None.  Nothing is built.
 
     |C^m| = C(d, n−1)^(m−1)·d·dim M for the algebra of dimension d acting on
     the module M: g on V for the pair, V on g for the operator, whose degree
-    0 is ∧^{n−1}g.  A zero module still has C(d, n−1)^(m−1)·d cochain keys,
-    which every cochain walk visits, so it counts one coordinate per key.
-    Nothing is built.
+    0 is ∧^{n−1}g.  A zero module counts one coordinate per cochain key,
+    since every cochain walk visits them.  d_m costs rows × cols.  Once
+    C(d, n−1) ≤ 1 the sizes stop growing, but each of the about m² terms of
+    a key still rebuilds its m blocks, so d_m costs at least
+    (rows + 1)·(cols + 1)·m³, and the scan ends either way.
     """
     n, dg, dv = prob.n, prob.dim_g, prob.dim_v
     d, module, first = (dg, dv, 1) if target == "pair" else (dv, dg, 0)
@@ -140,15 +138,27 @@ def oversized_differential(prob: Problem, max_m: int, target: str,
         return comb(dg, n - 1) if m == 0 else c ** (m - 1) * d * max(module, 1)
 
     for m in range(first, max_m + 1):
-        if dim(m + 1) * dim(m) > limit:
-            return m, dim(m + 1), dim(m)
-        if m >= 1 and (c <= 1 or d == 0):
-            return None  # |C^m| stops growing, so no later d_m is larger
+        rows, cols = dim(m + 1), dim(m)
+        cost = rows * cols
+        if c <= 1:
+            cost = max(cost, (rows + 1) * (cols + 1) * m ** 3)
+        if cost > limit:
+            return m, rows, cols
     return None
 
 
-def _size_message(prob: Problem, target: str, big: tuple[int, int, int], limit: int) -> str:
+def size_refusal(prob: Problem, max_m: int, target: str,
+                 limit: int = MAX_DIFFERENTIAL_ENTRIES) -> Optional[str]:
+    """Why the table of a target up to d_{max_m} is refused, or None: the
+    one size guard of `cohomology` and `lift`."""
+    big = oversized_differential(prob, max_m, target, limit)
+    if big is None:
+        return None
     m, rows, cols = big
+    if rows * cols <= limit:
+        return (f"d_{m} is {rows} x {cols}, but the walk of degree {m}, ({rows} + 1)"
+                f"·({cols} + 1)·{m}^3 = {(rows + 1) * (cols + 1) * m ** 3}, "
+                f"is over the limit of {limit}")
     if (prob.dim_v if target == "pair" else prob.dim_g) == 0:
         return (f"d_{m} is zero but would walk {rows} x {cols} cochain keys "
                 f"({rows * cols} pairs), over the limit of {limit}")
@@ -159,21 +169,32 @@ def _size_message(prob: Problem, target: str, big: tuple[int, int, int], limit: 
 def cmd_cohomology(prob: Problem, max_m: int, target: str,
                    limit: Optional[int] = MAX_DIFFERENTIAL_ENTRIES) -> dict:
     """The cohomology table up to degree max_m; refused as an input error
-    when a differential has more than `limit` entries (None: no limit)."""
-    big = None if limit is None else oversized_differential(prob, max_m, target, limit)
-    if big is not None:
-        raise ProblemFileError(_size_message(prob, target, big, limit)
-                               + "; pass --no-size-limit to build it")
+    when a differential costs more than `limit` (None: no limit).  Only an
+    operator gets an operator table.  The pair is not checked (`verify`
+    does that), but dim H^m < 0 proves d_m∘d_{m−1} != 0: `complex` fails."""
+    refusal = None if limit is None else size_refusal(prob, max_m, target, limit)
+    if refusal is not None:
+        raise ProblemFileError(refusal + "; pass --no-size-limit to build it")
     checks: list[dict] = []
+    report = {"command": "cohomology", "target": target, "checks": checks, "table": []}
     if target == "pair":
         table = cohomology_table(lambda m: coboundary_matrix(prob.rep, m), 1, max_m)
     else:
         if prob.operator is None:
             raise ProblemFileError("operator cohomology needs T")
+        identity = check_rb(prob.rep, prob.operator)
+        checks.append(_entry("rota_baxter", identity))
+        if not identity.holds:
+            return report
         t = RBOperator(prob.rep, prob.operator)
-        checks.append(_check_entry("rota_baxter", check_rb(prob.rep, prob.operator)))
         table = cohomology_table(lambda m: rb_coboundary_matrix(t, m), 0, max_m)
-    return {"command": "cohomology", "target": target, "checks": checks, "table": table}
+    report["table"] = table
+    bad = next((row for row in table if row["dim_H"] < 0), None)
+    if bad is not None:
+        m = bad["m"]
+        checks.append(_entry("complex", False,
+                             detail=f"dim H^{m} = {bad['dim_H']} < 0, so d_{m}∘d_{m - 1} != 0"))
+    return report
 
 
 def cmd_deform(prob: Problem, action: str) -> dict:
@@ -183,21 +204,21 @@ def cmd_deform(prob: Problem, action: str) -> dict:
     checks: list[dict] = []
     report: dict[str, Any] = {"command": "deform", "action": action, "checks": checks}
     if action == "equivalence":
-        checks.append(_check_entry("rota_baxter", check_rb(prob.rep, prob.operator)))
+        checks.append(_entry("rota_baxter", check_rb(prob.rep, prob.operator)))
         if not prob.deformation or not prob.deformation_prime:
             raise ProblemFileError("equivalence needs deformation and deformation_prime")
         t1, t1p = prob.deformation[0], prob.deformation_prime[0]
         try:
             gauge = find_equivalence(t, t1, t1p)
         except ValueError as e:
-            checks.append({"check": "equivalence", "status": "fail", "detail": str(e)})
+            checks.append(_entry("equivalence", False, detail=str(e)))
             return report
         if gauge is None:
-            checks.append(_bool_entry("equivalence", True, result="inequivalent"))
+            checks.append(_entry("equivalence", True, result="inequivalent"))
         else:
             coeffs = {"^".join(str(i + 1) for i in k): _fmt_rat(c)
                       for k, c in sorted(gauge.coeffs.items())}
-            checks.append(_bool_entry("equivalence", True, result="equivalent"))
+            checks.append(_entry("equivalence", True, result="equivalent"))
             report["gauge"] = coeffs
         return report
     if not prob.deformation:
@@ -206,36 +227,30 @@ def cmd_deform(prob: Problem, action: str) -> dict:
     order = jet.order_report
     # order 0 is the operator identity, checked on the V-tuples check_rb walks
     s, vs = (None, None) if order.holds else order.witness
-    identity = (CheckReport(False, witness=vs, detail="operator identity fails") if s == 0
-                else CheckReport(True))
-    checks.append(_check_entry("rota_baxter", identity))
-    entry = {"check": "order_validity", "status": "pass" if order.holds else "fail"}
-    if not order.holds:
-        entry["witness"] = {"order": s, "tuple": _fmt_witness(vs)}
-        entry["detail"] = order.detail
-    checks.append(entry)
+    checks.append(_entry("rota_baxter", CheckReport(s != 0, vs, detail="operator identity fails")))
+    checks.append(_entry("order_validity", order.holds,
+                         None if order.holds else {"order": s, "tuple": _fmt_witness(vs)},
+                         order.detail))
     if action == "check" or not order.holds:
         return report
     ob = obstruction(jet)
-    checks.append(_bool_entry("obstruction_cocycle", ob.cocycle_checked))
+    checks.append(_entry("obstruction_cocycle", ob.cocycle_checked))
     nxt = extend(ob)
     if nxt is None:
         report["extension"] = "obstructed"
     else:
         report["extension"] = [[_fmt_rat(x) for x in row] for row in nxt.entries]
-        checks.append(_bool_entry("extension_reverified", True))
+        checks.append(_entry("extension_reverified", True))
     return report
 
 
 def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
     if prob.covector is None:
         raise ProblemFileError("lift needs the covector f")
-    checks = []
     bad = unkilled_key(prob.algebra, prob.covector)
-    checks.append(_bool_entry("admissible_covector", bad is None))
+    checks = [_entry("admissible_covector", bad is None, witness=bad)]
     report: dict[str, Any] = {"command": "lift", "checks": checks}
     if bad is not None:
-        checks[-1]["witness"] = _fmt_witness(bad)
         return report
     raised_rep = raise_arity_rep(prob.rep, prob.covector)
     raised_alg = raised_rep.algebra
@@ -243,17 +258,15 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
     if is_admissible(raised_alg, prob.covector):
         raised.covector = prob.covector
     for i, (space, bm) in enumerate(prob.cochains):
-        m = bm.blocks + 1
         for p in (prob, raised):
-            big = oversized_differential(p, m, space, MAX_DIFFERENTIAL_ENTRIES)
-            if big is not None:
-                raise ProblemFileError(f"cochains[{i}] ({space}, degree {m}) at arity {p.n}: "
-                                       + _size_message(p, space, big, MAX_DIFFERENTIAL_ENTRIES))
+            if (refusal := size_refusal(p, bm.blocks + 1, space)) is not None:
+                raise ProblemFileError(f"cochains[{i}] ({space}, degree {bm.blocks + 1}) "
+                                       f"at arity {p.n}: {refusal}")
     checks += _pair_entries(raised_rep, prefix="raised_")
     t, lifted = prob.rb_operator(), raised.rb_operator()
     if t is not None:
-        checks.append(_check_entry("rota_baxter", check_rb(prob.rep, prob.operator)))
-        checks.append(_check_entry("lifted_rota_baxter", check_rb(raised_rep, prob.operator)))
+        checks.append(_entry("rota_baxter", check_rb(prob.rep, prob.operator)))
+        checks.append(_entry("lifted_rota_baxter", check_rb(raised_rep, prob.operator)))
     x0 = prob.x0
     if x0 is not None and t is not None:
         # the degree-0 square commutes iff (-1)^(n-1) f(x0_g) = 1
@@ -264,30 +277,24 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
             central = square is not None
         else:
             central = is_central(prob.rep, x0)
-        checks.append(_bool_entry("x0_central", central))
+        checks.append(_entry("x0_central", central))
         if central and normalized:
-            checks.append(_bool_entry("operator_chain_map_degree0", square))
+            checks.append(_entry("operator_chain_map_degree0", square))
         elif central:
-            checks.append({
-                "check": "operator_chain_map_degree0", "status": "skipped",
-                "detail": "x0 not normalized: (-1)^(n-1)·f(x0_g) != 1"})
+            checks.append(_entry("operator_chain_map_degree0", "skipped",
+                                 detail="x0 not normalized: (-1)^(n-1)·f(x0_g) != 1"))
     for i, (space, bm) in enumerate(prob.cochains):
         sym = tail_antisymmetrize(bm)
         note = "" if sym == bm else "antisymmetrized wedge-tail component"
+        name = f"{space}_chain_map[{i}]"
         if space == "pair":
-            ok = pair_chain_map_holds(prob.rep, raised_rep, prob.covector, sym)
-            entry = _bool_entry(f"pair_chain_map[{i}]", ok)
+            checks.append(_entry(name, pair_chain_map_holds(prob.rep, raised_rep,
+                                                            prob.covector, sym), detail=note))
+        elif t is None:
+            checks.append(_entry(name, "absent", detail="needs T"))
         else:
-            if t is None:
-                entry = {"check": f"operator_chain_map[{i}]", "status": "absent",
-                         "detail": "needs T"}
-                checks.append(entry)
-                continue
-            ok = operator_chain_map_holds(t, lifted, prob.covector, x0, sym)
-            entry = _bool_entry(f"operator_chain_map[{i}]", ok)
-        if note:
-            entry["detail"] = note
-        checks.append(entry)
+            checks.append(_entry(name, operator_chain_map_holds(t, lifted, prob.covector, x0, sym),
+                                 detail=note))
     emitted = emit_problem(raised)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

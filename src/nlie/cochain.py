@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 from .combinat import shuffles, sort_with_sign
 from .core import NLieAlgebra, Representation, semidirect_blockmap
 from .linalg import _ZERO, Matrix, as_fractions, as_int, basis_vec, rank
-from .multilinear import BlockMap, SpaceSpec, basis_entries, bidegree_of, iter_keys
+from .multilinear import BlockMap, SpaceSpec, basis_entries, iter_keys
 
 
 def _differential(rep: Representation, m: int) -> dict:
@@ -275,14 +275,3 @@ def check_mc_pair(alg: NLieAlgebra, rep: Representation) -> bool:
     delta = semidirect_blockmap(rep)
     return graded_bracket(delta, delta).is_zero()
 
-
-def check_bidegree_additivity(f: BlockMap, g: BlockMap) -> bool:
-    """Bracket of homogeneous maps is homogeneous of the summed bidegree."""
-    bf = bidegree_of(f)
-    bg = bidegree_of(g)
-    if bf is None or bg is None:
-        raise ValueError("inputs must be homogeneous")
-    br = graded_bracket(f, g)
-    if br.is_zero():
-        return True
-    return bidegree_of(br) == (bf[0] + bg[0], bf[1] + bg[1])

@@ -133,7 +133,8 @@ class Representation:
     """A candidate action of ∧^{n-1}g on a module by endomorphisms.
 
     As a 1-block map, its key (block, u) reads column u of the block's
-    matrix; :meth:`operator` expands vector arguments into one matrix.
+    matrix, which :meth:`act` reads; :meth:`operator` expands vector
+    arguments into one matrix.
     `differentials` holds the cochain differentials built so far, keyed by
     source degree (see :func:`nlie.cochain.coboundary`).
     """
@@ -186,10 +187,11 @@ class Representation:
         return vzero(self.dim_v) if mat is None else mat.column(u)
 
     def act(self, gargs: Sequence[Element], v: Element) -> Vec:
-        """ρ(gargs)v on possibly unsorted/vector-valued arguments: a column
-        or a product of :meth:`operator`."""
-        m = self.operator(gargs)
-        return m.column(v) if isinstance(v, int) else m.mul_vec(v)
+        """ρ(gargs)v on possibly unsorted/vector-valued arguments, evaluated
+        by :func:`~nlie.multilinear.apply_map` as the 1-block map it is."""
+        if len(gargs) != self.algebra.n - 1:
+            raise ValueError("action arity mismatch")
+        return apply_map(self, [gargs], v)
 
     def operator(self, gargs: Sequence[Element]) -> Matrix:
         """Action matrix ρ(gargs) on possibly unsorted/vector-valued arguments.

@@ -2,12 +2,12 @@
 
 T: V -> g is an operator iff its graph {(Tu, u)} is a subalgebra of g ⋉ V:
 the g-part of the semidirect bracket of graph vectors is T of its V-part.
-That identity is order 0 of the jet residual, which :func:`check_rb` and
-the deformation checks share.  ρ_T is the twist x − Tu of the graph bracket
-with (x, 0) in the last slot, computed from the bracket and the action on
-T's columns and built once per :class:`RBOperator`.  The bracket on V is
-the sub-adjacent bracket of the operator's n-pre-Lie product
-ρ(Tu_1, …, Tu_{n−1})u_n.
+That identity is order 0 of the jet residual [Tv₁..Tvₙ] − T(V-part), which
+:func:`check_rb` and the deformation checks share; no graph vector is
+formed.  ρ_T is the twist x − Tu of the graph bracket with (x, 0) in the
+last slot, computed from the bracket and the action on T's columns and
+built once per :class:`RBOperator`.  The bracket on V is the sub-adjacent
+bracket of the operator's n-pre-Lie product ρ(Tu_1, …, Tu_{n−1})u_n.
 
 An operator cochain of degree m >= 1 is a BlockMap with m-1 blocks over the
 module V valued in g; degree 0 is a :class:`Wedge`, an element of
@@ -25,11 +25,11 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .combinat import blocks_of, compositions
 from .core import (CheckReport, NLieAlgebra, NPreLie, Representation,
-                   semidirect_blockmap, semidirect_product, sub_adjacent)
-from .linalg import (Coeff, Matrix, Vec, accumulate_image, as_int, basis_vec, from_coords,
-                     int_columns, nonzero, viszero, vscale, vsub)
-from .multilinear import (BlockMap, Element, SpaceSpec, apply_coords, iter_keys,
-                          lift_operator_map, project_operator_part)
+                   semidirect_blockmap, sub_adjacent)
+from .linalg import (Coeff, Matrix, Vec, accumulate_image, as_int, from_coords,
+                     int_columns, nonzero, viszero, vsub)
+from .multilinear import (BlockMap, SpaceSpec, apply_coords, lift_operator_map,
+                          project_operator_part)
 from .cochain import (_scatter, coboundary, coboundary_matrix, cochain_basis,
                       cohomology_table, graded_bracket)
 
@@ -70,16 +70,6 @@ class RBOperator:
     @property
     def algebra(self) -> NLieAlgebra:
         return self.rep.algebra
-
-    def graph(self, u: Element) -> Vec:
-        """(Tu, u) in g ⊕ V."""
-        uu = basis_vec(self.rep.dim_v, u) if isinstance(u, int) else u
-        return self.matrix.mul_vec(uu) + uu
-
-    def twist(self, w: Vec) -> Vec:
-        """x − Tu in g for w = (x, u) in g ⊕ V."""
-        dg = self.algebra.dim
-        return vsub(w[:dg], self.matrix.mul_vec(w[dg:]))
 
     @cached_property
     def induced_rep(self) -> Representation:
@@ -126,13 +116,12 @@ def check_rb(rep: Representation, t: Matrix) -> CheckReport:
     """The graph of T is closed under the semidirect bracket: on all basis
     n-tuples of V, g-part = T(V-part) of the bracket of graph vectors.
 
-    The verdict is order 0 of the jet residual; both sides are read off the
-    bracket of graph vectors at the first tuple where it fails."""
-    op = RBOperator(rep, t)
-    for vs, _ in nonzero_residuals([t], op, 0):
-        b = semidirect_product(rep).bracket([op.graph(v) for v in vs])
-        dg = rep.algebra.dim
-        return CheckReport(False, witness=vs, lhs=b[:dg], rhs=t.mul_vec(b[dg:]),
+    The verdict is order 0 of the jet residual [Tv₁..Tvₙ] − T(V-part).  At
+    the first tuple where it fails, the g-part is the bracket of the images
+    and T(V-part) is that bracket minus the residual."""
+    for vs, res in nonzero_residuals([t], RBOperator(rep, t), 0):
+        lhs = rep.algebra.bracket([t.column(v) for v in vs])
+        return CheckReport(False, witness=vs, lhs=lhs, rhs=vsub(lhs, res),
                            detail="operator identity fails")
     return CheckReport(True)
 
@@ -172,28 +161,6 @@ def derived_bracket(ctx: DerivedContext, cochains: Sequence[BlockMap]) -> BlockM
     for c in cochains:
         acc = graded_bracket(acc, ctx.lift(c))
     return project_operator_part(acc)
-
-
-def derived_bracket_tt_direct(ctx: DerivedContext, t: Matrix) -> BlockMap:
-    """Fast path for the bracket of n copies of an operator candidate.
-
-    Equals n!·twist of the semidirect bracket of graph vectors entrywise; kept
-    as an independent route and cross-checked against the generic one in tests.
-    """
-    rep = ctx.rep
-    n, dv = ctx.n, ctx.dim_v
-    op = RBOperator(rep, t)
-    sd = semidirect_product(rep)
-    src = SpaceSpec(dv, "V")
-    tgt = SpaceSpec(ctx.dim_g, "g")
-    nf = Fraction(factorial(n))
-    table = {}
-    for key in iter_keys(dv, n - 1, 1):
-        graphs = [op.graph(v) for v in key[0] + (key[-1],)]
-        val = vscale(op.twist(sd.bracket(graphs)), nf)
-        if not viszero(val):
-            table[key] = val
-    return BlockMap(n, 1, src, tgt, table)
 
 
 def check_rb_mc(ctx: DerivedContext, t: Matrix) -> bool:

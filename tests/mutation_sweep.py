@@ -76,6 +76,8 @@ KERNELS: dict[str, tuple[str, ...]] = {
     "multilinear.bidegree_of": _SKEW,
     "core.Representation.operator": ("test_evaluation_oracle.py", "test_sparse_eval_oracle.py",
                                      "test_core.py", "test_lift.py"),
+    "core.Representation.act": ("test_evaluation_oracle.py", "test_sparse_eval_oracle.py",
+                                "test_int_eval_oracle.py"),
     "core.semidirect_product": _PAIR,
     "core.check_representation": _PAIR,
     "core.symplectic_to_pre_lie": ("test_pre_lie_oracle.py", "test_core.py"),
@@ -88,7 +90,6 @@ KERNELS: dict[str, tuple[str, ...]] = {
     "rota_baxter.operator_rep": _OPERATOR,
     "rota_baxter.pre_lie_of_operator": _OPERATOR,
     "rota_baxter.wedge_coboundary": _OPERATOR,
-    "rota_baxter.derived_bracket_tt_direct": ("test_operator_oracle.py", "test_rota_baxter.py"),
     "lift.raise_arity": _RAISE,
     "lift.raise_arity_rep": _RAISE,
     "lift.lift_cochain": ("test_sparse_eval_oracle.py", "test_int_eval_oracle.py", "test_lift.py"),

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from nlie import (BlockMap, LazyMap, Matrix, NLieAlgebra, NPreLie, Representation,
                   SpaceSpec)
-from nlie.cli import _check_entry
+from nlie.cli import _entry
 from nlie.cochain import _scatter, coboundary, cochain_basis
 from nlie.combinat import blocks_of, compositions, shuffles, sort_with_sign
 from nlie.core import CheckReport, SymplecticForm, check_filippov, check_representation
@@ -939,5 +939,5 @@ def oracle_derived_bracket_tt_direct(ctx: DerivedContext, t: Matrix) -> BlockMap
 
 def oracle_pair_entries(rep: Representation, prefix: str = "") -> list[dict]:
     """Both direct checkers, always."""
-    return [_check_entry(prefix + "filippov", check_filippov(rep.algebra)),
-            _check_entry(prefix + "representation", check_representation(rep))]
+    return [_entry(prefix + "filippov", check_filippov(rep.algebra)),
+            _entry(prefix + "representation", check_representation(rep))]

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from nlie import (Matrix, NLieAlgebra, SpaceSpec, abelian, adjoint_rep, cli,
-                  zero_representation)
+from nlie import (Matrix, NLieAlgebra, Representation, SpaceSpec, abelian, adjoint_rep,
+                  cli, zero_representation)
 from nlie.cli import main, oversized_differential
 from nlie.io import (Problem, ProblemFileError, emit_problem, load_problem,
                      parse_problem)
@@ -402,12 +402,75 @@ def test_size_guard_closed_form():
     wide = abelian(2, 3000)
     assert oversized_differential(Problem(2, wide, zero_representation(wide, 1)),
                                   0, "operator", limit) == (0, 3000, 3000)
-    # sizes that stop growing are scanned only until they do: C(2, 2) = 1
-    # and C(1, 2) = 0 blocks over V
+    # sizes that stop growing, with C(2, 2) = 1 and C(1, 2) = 0 blocks over V,
+    # still cost (rows + 1)·(cols + 1)·m³ per degree, so the scan ends
     small = abelian(3, 3)
-    for dv in (2, 1):
+    for dv, big in ((2, (44, 6, 6)), (1, (159, 0, 0))):
         prob = Problem(3, small, zero_representation(small, dv))
-        assert oversized_differential(prob, 10 ** 9, "operator", limit) is None
+        assert oversized_differential(prob, 10 ** 9, "operator", limit) == big
+        assert oversized_differential(prob, big[0] - 1, "operator", limit) is None
+
+
+def degenerate_file(dim_g: int, degree: int = 1) -> dict:
+    """n = 3 with dim V = 1: C(2, 2) = 1 block for dim g = 2 and C(1, 2) = 0
+    for dim g = 1, so |C^m| stops growing, with one empty pair cochain."""
+    return {"schema_version": "1", "n": 3, "g": {"dim": dim_g, "bracket": []},
+            "V": {"dim": 1}, "rho": [], "f": ["1"] + ["0"] * (dim_g - 1),
+            "cochains": [{"space": "pair", "degree": degree, "entries": []}]}
+
+
+def test_size_guard_charges_every_degree_once_sizes_stop_growing(tmp_path, capsys,
+                                                                 monkeypatch):
+    """Once C(d, n−1) ≤ 1 each degree still costs (rows + 1)·(cols + 1)·m³,
+    so a deep table or cochain is refused with exit 2 before anything is
+    built, and --no-size-limit still builds it."""
+    wide, narrow = (write(tmp_path, f"g{d}.json", degenerate_file(d)) for d in (2, 1))
+    deep = write(tmp_path, "deep.json", degenerate_file(2, degree=1001))
+    walk = "d_77 is 2 x 2, but the walk of degree 77, (2 + 1)·(2 + 1)·77^3 = 4108797"
+    with monkeypatch.context() as m:
+        forbid_builds(m)
+        for max_m in ("100", "400"):
+            assert main(["cohomology", wide, "--max-m", max_m, "--json"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and walk in captured.err
+        assert main(["cohomology", narrow, "--max-m", "100000", "--json"]) == 2
+        assert "d_159 is 0 x 0, but the walk of degree 159" in capsys.readouterr().err
+    assert main(["lift", deep, "--json"]) == 2
+    assert f"cochains[0] (pair, degree 1001) at arity 3: {walk}" in capsys.readouterr().err
+    assert main(["cohomology", wide, "--max-m", "78", "--no-size-limit", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["table"]) == 78
+
+
+def sl2_problem(e23=(1, 0, 0), operator=None) -> str:
+    """The adjoint pair of sl2, with [e2, e3] replaced by the given value."""
+    table = {(0, 1): [0, 2, 0], (0, 2): [0, 0, -2]}
+    ad = adjoint_rep(NLieAlgebra(2, SpaceSpec(3, "g"), {**table, (1, 2): [1, 0, 0]}))
+    alg = NLieAlgebra(2, SpaceSpec(3, "g"), {**table, (1, 2): list(e23)})
+    return emit_problem(Problem(2, alg, Representation(alg, ad.module, ad.action),
+                                operator=operator))
+
+
+def test_cohomology_of_an_invalid_structure(tmp_path, capsys, monkeypatch):
+    """A non-operator gets no operator table, and a negative dim H^m, which
+    proves d_m∘d_{m−1} != 0, fails the `complex` check; both exit 1."""
+    path = tmp_path / "sl2.json"
+    path.write_text(sl2_problem(operator=Matrix([[1, 0, 0], [0, 0, 1], [0, 0, 0]])))
+    with monkeypatch.context() as m:
+        forbid_builds(m)
+        assert main(["cohomology", str(path), "--target", "operator", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["table"] == []
+    assert report["checks"] == [{"check": "rota_baxter", "status": "fail", "witness": [1, 3],
+                                 "detail": "operator identity fails"}]
+    path.write_text(sl2_problem(e23=(2, 0, 0)))
+    assert main(["cohomology", str(path), "--max-m", "3", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [row["dim_H"] for row in report["table"]] == [1, -2, -12]
+    assert report["checks"] == [{"check": "complex", "status": "fail",
+                                 "detail": "dim H^2 = -2 < 0, so d_2∘d_1 != 0"}]
+    path.write_text(sl2_problem())
+    assert main(["cohomology", str(path), "--max-m", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == []
 
 
 def heis3_deep_cochain_file(degree: int) -> dict:

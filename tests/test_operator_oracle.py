@@ -1,23 +1,21 @@
 """Operator structures against their oracles in `oracles.py`: `check_rb`
 and `operator_rep` against the semidirect bracket of graph vectors, the
 induced bracket and the direct n-fold derived bracket against the signed
-action sum written out by hand.  Every comparison is exact, down to the
+action sum written out by hand, which the derived bracket of n copies of
+an operator candidate must equal.  Every comparison is exact, down to the
 check_rb witness and the two sides it reports, on the corpus, its lifts by
 every admissible covector and random non-operators."""
 import random
-from fractions import Fraction
 
 import pytest
 
 from conftest import random_matrix
 from oracles import (oracle_check_rb, oracle_derived_bracket_tt_direct, oracle_induced_bracket,
                      oracle_operator_rep)
-from nlie import Matrix, NLieAlgebra, Representation, SpaceSpec
+from nlie import NLieAlgebra
 from nlie.lift import admissible_covectors, lift_operator
-from nlie.linalg import vsub
-from nlie.rota_baxter import (DerivedContext, RBOperator, check_rb,
-                              derived_bracket_tt_direct, induced_bracket,
-                              operator_rep)
+from nlie.rota_baxter import (DerivedContext, RBOperator, check_rb, derived_bracket,
+                              induced_bracket, matrix_to_cochain, operator_rep)
 
 # ---------------------------------------------------------------------------
 # inputs: the corpus, its lifts by every admissible covector, non-operators
@@ -72,19 +70,10 @@ def test_induced_structures_match_reference(operator_inputs, kind):
 
 @pytest.mark.parametrize("kind", ["corpus", "lifted", "non-operators"])
 def test_derived_bracket_tt_direct_matches_reference(operator_inputs, kind):
+    """The derived bracket of n copies of T against its direct form."""
     for op in operator_inputs[kind]:
         ctx = DerivedContext(op.rep)
-        got = derived_bracket_tt_direct(ctx, op.matrix)
+        tc = matrix_to_cochain(op.rep, op.matrix)
+        got = derived_bracket(ctx, [tc] * ctx.n)
         assert got == oracle_derived_bracket_tt_direct(ctx, op.matrix)
         assert got.is_zero() == bool(check_rb(op.rep, op.matrix))
-
-
-def test_graph_and_twist():
-    """graph(u) = (Tu, u) and twist((x, u)) = x − Tu, on indices and vectors."""
-    rep = Representation(NLieAlgebra(2, SpaceSpec(2, "g")), SpaceSpec(3, "V"))
-    t = RBOperator(rep, Matrix([[1, 0, 2], [0, -1, Fraction(1, 2)]]))
-    assert t.graph(2) == (2, Fraction(1, 2), 0, 0, 1)
-    u = (1, 1, 2)
-    assert t.graph(u) == t.matrix.mul_vec(u) + u
-    assert t.twist(t.graph(u)) == (0, 0)
-    assert t.twist((3, 4) + u) == vsub((3, 4), t.matrix.mul_vec(u))
