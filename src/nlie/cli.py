@@ -204,9 +204,12 @@ def cmd_deform(prob: Problem, action: str) -> dict:
     checks: list[dict] = []
     report: dict[str, Any] = {"command": "deform", "action": action, "checks": checks}
     if action == "equivalence":
-        checks.append(_entry("rota_baxter", check_rb(prob.rep, prob.operator)))
         if not prob.deformation or not prob.deformation_prime:
             raise ProblemFileError("equivalence needs deformation and deformation_prime")
+        identity = check_rb(prob.rep, prob.operator)
+        checks.append(_entry("rota_baxter", identity))
+        if not identity.holds:
+            return report
         t1, t1p = prob.deformation[0], prob.deformation_prime[0]
         try:
             gauge = find_equivalence(t, t1, t1p)
@@ -264,25 +267,23 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
                                        f"at arity {p.n}: {refusal}")
     checks += _pair_entries(raised_rep, prefix="raised_")
     t, lifted = prob.rb_operator(), raised.rb_operator()
+    gate = ""  # why the operator chain maps are skipped
     if t is not None:
-        checks.append(_entry("rota_baxter", check_rb(prob.rep, prob.operator)))
-        checks.append(_entry("lifted_rota_baxter", check_rb(raised_rep, prob.operator)))
+        for name, rep in (("rota_baxter", prob.rep), ("lifted_rota_baxter", raised_rep)):
+            identity = check_rb(rep, prob.operator)
+            checks.append(_entry(name, identity))
+            gate = gate or ("" if identity.holds else f"T fails {name}")
     x0 = prob.x0
     if x0 is not None and t is not None:
-        # the degree-0 square commutes iff (-1)^(n-1) f(x0_g) = 1
-        fx0 = sum((a * b for a, b in zip(prob.covector, x0[:prob.dim_g])), Fraction(0))
-        normalized = Fraction((-1) ** (prob.n - 1)) * fx0 == 1
-        if normalized:
-            square = degree0_chain_map_holds(t, lifted, prob.covector, x0)
-            central = square is not None
-        else:
-            central = is_central(prob.rep, x0)
+        central = is_central(prob.rep, x0)
         checks.append(_entry("x0_central", central))
-        if central and normalized:
-            checks.append(_entry("operator_chain_map_degree0", square))
-        elif central:
-            checks.append(_entry("operator_chain_map_degree0", "skipped",
-                                 detail="x0 not normalized: (-1)^(n-1)·f(x0_g) != 1"))
+        if central:
+            # the degree-0 square commutes iff (-1)^(n-1) f(x0_g) = 1
+            fx0 = sum((a * b for a, b in zip(prob.covector, x0[:prob.dim_g])), Fraction(0))
+            skip = gate or ("" if Fraction((-1) ** (prob.n - 1)) * fx0 == 1
+                            else "x0 not normalized: (-1)^(n-1)·f(x0_g) != 1")
+            square = "skipped" if skip else degree0_chain_map_holds(t, lifted, prob.covector, x0)
+            checks.append(_entry("operator_chain_map_degree0", square, detail=skip))
     for i, (space, bm) in enumerate(prob.cochains):
         sym = tail_antisymmetrize(bm)
         note = "" if sym == bm else "antisymmetrized wedge-tail component"
@@ -292,6 +293,8 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
                                                             prob.covector, sym), detail=note))
         elif t is None:
             checks.append(_entry(name, "absent", detail="needs T"))
+        elif gate:
+            checks.append(_entry(name, "skipped", detail=gate))
         else:
             checks.append(_entry(name, operator_chain_map_holds(t, lifted, prob.covector, x0, sym),
                                  detail=note))

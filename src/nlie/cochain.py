@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 from .combinat import shuffles, sort_with_sign
 from .core import NLieAlgebra, Representation, semidirect_blockmap
 from .linalg import _ZERO, Matrix, as_fractions, as_int, basis_vec, rank
-from .multilinear import BlockMap, SpaceSpec, basis_entries, iter_keys
+from .multilinear import BlockMap, SpaceSpec, basis_entries, iter_keys, wedge_leaves
 
 
 def _differential(rep: Representation, m: int) -> dict:
@@ -44,10 +44,9 @@ def _differential(rep: Representation, m: int) -> dict:
     @cache
     def action(args):
         """Nonzero entries (r, c, x) of the action matrix of args."""
-        s, block = sort_with_sign(args)
-        mat = rep.action.get(block) if s else None
-        cols = [mat.column(c) for c in range(dv)] if mat else []
-        return [(r, c, s * x) for c, col in enumerate(cols) for r, x in enumerate(col) if x]
+        return [(r, c, s * x) for (block,), s in wedge_leaves([args]).items()
+                if block in rep.action for c in range(dv)
+                for r, x in enumerate(rep.action[block].column(c)) if x]
 
     def add(src, c, dst, r, x):
         col = entries.setdefault((src, c), {})

@@ -14,15 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Mapping, Optional, Sequence
 
 from .combinat import sort_with_sign
-from .linalg import (Coeff, Matrix, Vec, accumulate, basis_vec, from_coords,
-                     nonzero, rank, solve_linear, vadd, vector, viszero, vscale,
-                     vzero)
-from .multilinear import (BlockMap, Element, Key, SpaceSpec, apply_map,
-                          basis_entries, split_wedges, sum_space, wedge_sums)
+from .linalg import (Coeff, Matrix, Vec, accumulate, basis_vec, from_coords, rank,
+                     solve_linear, vadd, vector, viszero, vscale, vzero)
+from .multilinear import (BlockMap, Element, Key, SpaceSpec, apply_map, basis_entries,
+                          split_wedges, sum_space, wedge_leaves, wedge_sums)
 
 
 @dataclass
@@ -194,28 +192,15 @@ class Representation:
         return apply_map(self, [gargs], v)
 
     def operator(self, gargs: Sequence[Element]) -> Matrix:
-        """Action matrix ρ(gargs) on possibly unsorted/vector-valued arguments.
-
-        As in :func:`~nlie.multilinear.apply_coords`, each argument becomes
-        its nonzero (index, coefficient) pairs, and one product over those
-        lists expands the wedge; a leaf's coefficient, with the sign of
-        sorting its block, is added onto that block.  Then c·ρ(block) is
-        summed entry by entry on one coordinate dict, as ints while
-        integral.
-        """
+        """Action matrix ρ(gargs) on possibly unsorted/vector-valued arguments:
+        c·ρ(block) over the :func:`~nlie.multilinear.wedge_leaves` of the
+        arguments, summed entry by entry on one coordinate dict, as ints
+        while integral."""
         if len(gargs) != self.algebra.n - 1:
             raise ValueError("action arity mismatch")
-        slots = [((e, 1),) if isinstance(e, int) else nonzero(e) for e in gargs]
-        coeffs: dict[tuple[int, ...], Coeff] = {}
-        for leaf in itertools.product(*slots):
-            idx, cs = zip(*leaf)
-            sign, block = sort_with_sign(idx)
-            if sign and block in self.action:
-                x = prod(cs, start=sign)
-                coeffs[block] = coeffs[block] + x if block in coeffs else x
         acc: dict[int, Coeff] = {}
-        for block, x in coeffs.items():
-            if x:
+        for (block,), x in wedge_leaves([gargs]).items():
+            if block in self.action:
                 accumulate(acc, itertools.chain.from_iterable(self.action[block].entries), x)
         dv = self.dim_v
         flat = from_coords(acc, dv * dv)

@@ -1,7 +1,9 @@
 """JSON problem files: parsing, validation, emission.
 
-Indices are 1-based in files (and sorted), 0-based inside the engine; the
-parser is the only place that converts.  Rationals travel as JSON integers
+Indices are 1-based in files (and sorted), 0-based inside the engine.  The
+parser converts them on the way in; on the way out `emit_problem` (with
+`_emit_value`) and the CLI's report writers (`cli._fmt_witness` and the gauge
+keys of `deform --action equivalence`) add 1.  Rationals travel as JSON integers
 or as strings of the form `-?[0-9]+(/[0-9]+)?` — floats, and decimal or
 exponent strings, are rejected so nothing inexact can leak into the
 computation and no short string can stand for a huge number.  No JSON

@@ -16,11 +16,11 @@ from fractions import Fraction
 from math import prod
 from typing import Optional, Sequence, Union
 
-from .combinat import blocks_of, sort_with_sign
+from .combinat import blocks_of
 from .core import NLieAlgebra, Representation, adjoint_rep, semidirect_product
 from .linalg import (Coeff, Matrix, Vec, accumulate, as_int, basis_vec, from_coords,
                      kernel_basis, nonzero, vector, vzero)
-from .multilinear import BlockMap, iter_keys
+from .multilinear import BlockMap, iter_keys, wedge_leaves
 from .rota_baxter import RBOperator, Wedge, rb_coboundary
 from .cochain import coboundary
 
@@ -54,13 +54,10 @@ def raise_arity(alg: NLieAlgebra, f: Sequence) -> NLieAlgebra:
     fv = vector(f)
     if not is_admissible(alg, fv):
         raise ValueError("covector does not annihilate the bracket")
-    support = nonzero(fv)
     sums: dict[tuple[int, ...], dict[int, Coeff]] = {}
     for w, val in alg.structure.items():
-        for j, c in support:
-            s, key = sort_with_sign((j,) + w)
-            if s:
-                accumulate(sums.setdefault(key, {}), val, c * s)
+        for (key,), x in wedge_leaves([(fv, *w)]).items():
+            accumulate(sums.setdefault(key, {}), val, x)
     structure = {key: from_coords(coords, alg.dim) for key, coords in sums.items()}
     return NLieAlgebra(alg.n + 1, alg.space, structure)
 
@@ -160,19 +157,11 @@ def is_central(rep: Representation, x0: Sequence) -> bool:
 
 def _wedge_with(c: Wedge, t: RBOperator, xi: Vec) -> Wedge:
     """The wedge of c with xi, the g-part of a central element."""
-    dg = t.algebra.dim
-    n = t.algebra.n
-    coeffs: dict[tuple[int, ...], Fraction] = {}
+    coeffs: dict[tuple[int, ...], Coeff] = {}
     for block, cf in c.coeffs.items():
-        for j in range(dg):
-            if xi[j] == 0:
-                continue
-            s, sb = sort_with_sign(block + (j,))
-            if s == 0:
-                continue
-            k = coeffs.get(sb, Fraction(0)) + cf * xi[j] * s
-            coeffs[sb] = k
-    return Wedge(dg, n, {k: v for k, v in coeffs.items() if v != 0})
+        for (key,), x in wedge_leaves([(*block, xi)]).items():
+            coeffs[key] = coeffs.get(key, 0) + cf * x
+    return Wedge(t.algebra.dim, t.algebra.n, coeffs)
 
 
 def lift_operator_cochain(c: Wedge, t: RBOperator, x0: Optional[Sequence]) -> Wedge:
@@ -214,11 +203,9 @@ def operator_chain_map_holds(t: RBOperator, lifted: RBOperator, f: Sequence,
 
 
 def degree0_chain_map_holds(t: RBOperator, lifted: RBOperator, f: Sequence,
-                            x0: Sequence) -> Optional[bool]:
-    """The degree-0 square on every basis wedge of ∧^{n−1}g, or None when x0
-    is not central; centrality is checked once, not once per wedge."""
-    if not is_central(t.rep, x0):
-        return None
+                            x0: Sequence) -> bool:
+    """The degree-0 square on every basis wedge of ∧^{n−1}g, for an x0 the
+    caller found central."""
     dg, k = t.algebra.dim, t.algebra.n - 1
     xi = vector(x0)[:dg]
     wedges = (Wedge(dg, k, {b: Fraction(1)}) for b in blocks_of(dg, k))

@@ -5,15 +5,20 @@ blocks of n-1 arguments, antisymmetric inside each block, plus one tail
 argument, with no constraint tying the last block to the tail.  Tables are
 sparse over sorted basis keys.
 
+:func:`wedge_leaves` is the one expansion of wedge arguments, basis indices
+or coefficient vectors: one product over their nonzero (index, coefficient)
+pairs gives the leaves, each signed by sorting its blocks and added onto its
+key of sorted blocks.  Brackets, actions and action matrices, the raise by a
+covector and the wedge with a central element take their keys and signs
+from it.
+
 :func:`apply_map` is the one evaluator of such maps.  It reads a map's
 `value(key)`, where a key is `blocks` strictly increasing index tuples
-followed by one tail index, and its `target` (for the zero vector).  Each
-vector argument becomes its nonzero (index, coefficient) pairs; one
-product over those lists gives the leaves, each leaf's coefficient takes
-the sign of sorting its blocks, and each key is looked up once with the
-summed coefficient of its leaves.  Its core, :func:`apply_coords`, sums
-integral coefficients as ints into a coordinate dict, which the kernels on
-the deform/lift path read directly; `apply_map` converts it to Fractions.
+followed by one tail index, and its `target` (for the zero vector).  Its
+core, :func:`apply_coords`, crosses the leaves of the blocks with the tail's
+nonzero coordinates, looks up each key once and sums integral coefficients
+as ints into a coordinate dict, which the kernels on the deform/lift path
+read directly; `apply_map` converts it to Fractions.
 :class:`BlockMap` satisfies that contract, as do
 :class:`nlie.core.NLieAlgebra` and :class:`nlie.core.Representation`, so
 brackets and actions evaluate like any other cochain.
@@ -191,9 +196,9 @@ def wedge_sums(f: BlockMap) -> dict[tuple, Vec]:
     return {key: from_coords(coords, f.target.dim) for key, coords in sums.items()}
 
 
-def _sorted_key(blocks: Sequence[Sequence[int]], tail: int) -> tuple[int, Optional[Key]]:
-    """(sign, key) of index blocks sorted with their signs, followed by the
-    tail; (0, None) when a block repeats an index."""
+def _sorted_blocks(blocks: Sequence[Sequence[int]]) -> tuple[int, Optional[Key]]:
+    """(sign, sorted blocks) of index blocks sorted with their signs; (0,
+    None) when a block repeats an index."""
     key, sign = [], 1
     for block in blocks:
         s, sb = sort_with_sign(tuple(block))
@@ -201,37 +206,41 @@ def _sorted_key(blocks: Sequence[Sequence[int]], tail: int) -> tuple[int, Option
             return 0, None
         sign *= s
         key.append(sb)
-    key.append(tail)
     return sign, tuple(key)
+
+
+def wedge_leaves(blocks: Sequence[Sequence[Element]]) -> dict[Key, Coeff]:
+    """{sorted blocks: nonzero coefficient} of wedges of basis indices or
+    coefficient vectors: a leaf of the product over the arguments' nonzero
+    (index, coefficient) pairs adds the product of its coefficients, signed
+    by sorting its blocks, onto its key; integral sums stay ints."""
+    if not blocks:
+        return {(): 1}
+    spans = list(itertools.pairwise(itertools.accumulate((len(b) for b in blocks), initial=0)))
+    slots = [((e, 1),) if isinstance(e, int) else nonzero(e) for block in blocks for e in block]
+    coeffs: dict[Key, Coeff] = {}
+    for leaf in itertools.product(*slots):
+        idx, cs = zip(*leaf)
+        sign, key = _sorted_blocks([idx[a:b] for a, b in spans])
+        if sign:
+            x = prod(cs, start=sign)
+            coeffs[key] = coeffs[key] + x if key in coeffs else x
+    return {key: x for key, x in coeffs.items() if x}
 
 
 def apply_coords(m, blocks: Sequence[Sequence[Element]], tail: Element,
                  acc: Optional[dict[int, Coeff]] = None, c: Coeff = 1) -> dict[int, Coeff]:
-    """acc + c·m(blocks; tail) as a coordinate dict (a new dict without acc).
-
-    Block elements and the tail may be basis indices or coefficient vectors.
-    Each argument becomes its nonzero (index, coefficient) pairs, and one
-    product over those lists gives the leaves.  A leaf's coefficient is the
-    product of its vector coefficients and the sign of sorting its blocks;
-    leaves that meet on one key add their coefficients, and each key is
-    looked up once.  Only the nonzero coordinates of the values are read,
-    and integral coefficients are summed as ints.
+    """acc + c·m(blocks; tail) as a coordinate dict (a new dict without acc):
+    the :func:`wedge_leaves` of the blocks crossed with the tail's nonzero
+    coordinates, each key looked up once.  Only the nonzero coordinates of
+    the values are read, and integral coefficients are summed as ints.
     """
-    spans = list(itertools.pairwise(itertools.accumulate((len(b) for b in blocks), initial=0)))
-    slots = [((e, 1),) if isinstance(e, int) else nonzero(e) for block in blocks for e in block]
-    slots.append(((tail, 1),) if isinstance(tail, int) else nonzero(tail))
-    coeffs: dict[Key, Coeff] = {}
-    for leaf in itertools.product(*slots):
-        idx, cs = zip(*leaf)
-        sign, key = _sorted_key([idx[a:b] for a, b in spans], idx[-1])
-        if sign:
-            x = prod(cs, start=sign)
-            coeffs[key] = coeffs[key] + x if key in coeffs else x
+    tails = ((tail, 1),) if isinstance(tail, int) else nonzero(tail)
     if acc is None:
         acc = {}
-    for key, x in coeffs.items():
-        if x:
-            accumulate(acc, m.value(key), c * x)
+    for key, x in wedge_leaves(blocks).items():
+        for t, y in tails:
+            accumulate(acc, m.value(key + (t,)), c * x * y)
     return acc
 
 
@@ -241,10 +250,10 @@ def apply_map(m, blocks: Sequence[Sequence[Element]], tail: Element) -> Vec:
     is one leaf, read as one lookup.
     """
     if isinstance(tail, int) and all(isinstance(e, int) for block in blocks for e in block):
-        sign, key = _sorted_key(blocks, tail)
+        sign, key = _sorted_blocks(blocks)
         if sign == 0:
             return vzero(m.target.dim)
-        v = m.value(key)
+        v = m.value(key + (tail,))
         return v if sign == 1 else vscale(v, Fraction(sign))
     return from_coords(apply_coords(m, blocks, tail), m.target.dim)
 

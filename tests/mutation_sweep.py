@@ -67,7 +67,8 @@ KERNELS: dict[str, tuple[str, ...]] = {
     "linalg.solve_linear": _RANK,
     "multilinear.apply_coords": _EVAL,
     "multilinear.apply_map": _EVAL,
-    "multilinear._sorted_key": _EVAL,
+    "multilinear._sorted_blocks": _EVAL,
+    "multilinear.wedge_leaves": _EVAL,
     "multilinear.basis_entries": _SKEW,
     "multilinear.split_wedges": _SKEW,
     "multilinear.wedge_sums": _SKEW,
@@ -95,6 +96,8 @@ KERNELS: dict[str, tuple[str, ...]] = {
     "lift.lift_cochain": ("test_sparse_eval_oracle.py", "test_int_eval_oracle.py", "test_lift.py"),
     "lift.is_central": _CENTER,
     "lift.pair_chain_map_holds": _CHAIN,
+    "lift._wedge_with": _CHAIN,
+    "lift.degree0_chain_map_holds": ("test_lift_chain_map_oracle.py", "test_io_cli.py"),
     "deformation.obstruction": _OBSTRUCTION,
     "cli._pair_entries": ("test_pair_verdict_oracle.py", "test_io_cli.py"),
 }

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from nlie import (Matrix, NLieAlgebra, Representation, SpaceSpec, abelian, adjoint_rep,
-                  cli, zero_representation)
+from nlie import (BlockMap, Matrix, NLieAlgebra, Representation, SpaceSpec, abelian,
+                  adjoint_rep, cli, zero_representation)
 from nlie.cli import main, oversized_differential
 from nlie.io import (Problem, ProblemFileError, emit_problem, load_problem,
                      parse_problem)
+from nlie.linalg import basis_vec
 
 NILP_FILE = {
     "schema_version": "1",
@@ -782,6 +783,61 @@ def test_cli_lift_unnormalized_x0_skips_degree0(tmp_path, capsys):
     entry = next(c for c in report["checks"]
                  if c["check"] == "operator_chain_map_degree0")
     assert entry["status"] == "skipped"
+
+
+NON_OPERATOR = Matrix([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+
+
+def test_cli_deform_equivalence_stops_at_a_non_operator(tmp_path, capsys, monkeypatch):
+    """Equivalence of deformations is defined only for an operator T: a
+    failing `rota_baxter` is the whole report, and no gauge is searched."""
+    monkeypatch.setattr(cli, "find_equivalence", None)
+    payload = json.loads(sl2_problem(operator=NON_OPERATOR))
+    payload["deformation"] = [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]]
+    payload["deformation_prime"] = [[["0"] * 3] * 3]
+    path = write(tmp_path, "p.json", payload)
+    assert main(["deform", path, "--action", "equivalence", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] == [{"check": "rota_baxter", "status": "fail", "witness": [1, 2],
+                                 "detail": "operator identity fails"}]
+
+
+def heis3_plus_line() -> NLieAlgebra:
+    """heis3 ⊕ R e4: e4 is central and outside [g, g], so f = e4* is
+    admissible with f(e4) = 1."""
+    return NLieAlgebra(2, SpaceSpec(4, "g"), {(0, 1): [0, 0, 1, 0]})
+
+
+@pytest.mark.parametrize("alg, t, f, x0", [
+    # (-1)^(n-1)·f(x0_g) = 1, so an operator would get the degree-0 square
+    (heis3_plus_line(), Matrix.identity(4), (0, 0, 0, 1), (0, 0, 0, -1, 0, 0, 0, 0)),
+    # heis3, whose x0 = e3 is central but not normalized
+    (NLieAlgebra(2, SpaceSpec(3, "g"), {(0, 1): [0, 0, 1]}), NON_OPERATOR, (1, 0, 0),
+     (0, 0, 1, 0, 0, 0)),
+], ids=["normalized-x0", "heis3"])
+def test_cli_lift_skips_the_operator_squares_of_a_non_operator(tmp_path, capsys, monkeypatch,
+                                                                alg, t, f, x0):
+    """A T that fails `rota_baxter` gets no degree-0 square and no operator
+    chain map, each `skipped` with the reason; `x0_central` and the pair
+    chain map do not depend on T and are still checked."""
+    for name in ("degree0_chain_map_holds", "operator_chain_map_holds"):
+        monkeypatch.setattr(cli, name, None)
+    d = alg.dim
+    prob = Problem(2, alg, adjoint_rep(alg), operator=t, covector=f, x0=x0)
+    spec = SpaceSpec(d, "g")
+    prob.cochains = [("operator", BlockMap(2, 0, spec, spec, {(0,): basis_vec(d, 0)})),
+                     ("operator", BlockMap(2, 1, spec, spec, {((0,), 1): basis_vec(d, 1)})),
+                     ("pair", BlockMap(2, 1, spec, spec, {((0,), 1): basis_vec(d, 2)}))]
+    path = tmp_path / "p.json"
+    path.write_text(emit_problem(prob))
+    assert main(["lift", str(path), "--json"]) == 1
+    entries = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert entries["rota_baxter"]["status"] == "fail"
+    assert entries["x0_central"]["status"] == "pass"
+    assert entries["pair_chain_map[2]"]["status"] == "pass"
+    skipped = {"status": "skipped", "detail": "T fails rota_baxter"}
+    for name in ("operator_chain_map[0]", "operator_chain_map[1]", "operator_chain_map_degree0"):
+        assert entries[name] == {"check": name, **skipped}
 
 
 def test_console_script_runs():

@@ -6,6 +6,8 @@ check is the pair check of the induced pairs.  Their oracles in
 `oracles.py` raise the pair on every call and lift operator cochains of
 degree >= 1 by their own branch; their verdicts must agree with the
 engine's on every case, and each check must both pass and fail.
+`degree0_chain_map_holds`, the degree-0 square on every basis wedge for a
+central x0, must agree with the oracle's square on each of those wedges.
 """
 import random
 from fractions import Fraction
@@ -16,8 +18,8 @@ from oracles import oracle_operator_chain_map_holds, oracle_pair_chain_map_holds
 
 from nlie.combinat import blocks_of
 from nlie.core import Representation
-from nlie.lift import (find_center, is_admissible, is_central, operator_chain_map_holds,
-                       pair_chain_map_holds, raise_arity_rep)
+from nlie.lift import (degree0_chain_map_holds, find_center, is_admissible, is_central,
+                       operator_chain_map_holds, pair_chain_map_holds, raise_arity_rep)
 from nlie.rota_baxter import RBOperator, Wedge
 
 
@@ -68,11 +70,16 @@ def compare_on(rep, f, tmat, rng, blocks, verdicts):
         got = outcome(operator_chain_map_holds, t, lifted, f, x0, w)
         assert got == outcome(oracle_operator_chain_map_holds, t, f, x0, w)
         verdicts["degree0"].add(got)
+    basis = [Wedge(dg, n - 1, {k: Fraction(1)}) for k in blocks_of(dg, n - 1)]
+    for x0 in x0s[:1 + 2 * len(centrals)]:  # the central ones
+        got = degree0_chain_map_holds(t, lifted, f, x0)
+        assert got == all(oracle_operator_chain_map_holds(t, f, x0, b) for b in basis)
+        verdicts["degree0 basis"].add(got)
 
 
 def test_chain_map_checks_match_their_references(algebras):
     rng = random.Random(131)
-    verdicts = {"pair": set(), "operator": set(), "degree0": set()}
+    verdicts = {"pair": set(), "operator": set(), "degree0": set(), "degree0 basis": set()}
     configs = arity_raising_configs(algebras, rng)
     assert len(configs) >= 20
     broken_pairs = 0
@@ -87,3 +94,4 @@ def test_chain_map_checks_match_their_references(algebras):
     assert verdicts["pair"] == {True, False}
     assert verdicts["operator"] == {True, False}
     assert verdicts["degree0"] == {True, False, ValueError}
+    assert verdicts["degree0 basis"] == {True, False}
