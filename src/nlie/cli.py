@@ -274,10 +274,10 @@ def cmd_lift(prob: Problem, out_path: Optional[str]) -> dict:
             checks.append(_entry(name, identity))
             gate = gate or ("" if identity.holds else f"T fails {name}")
     x0 = prob.x0
-    if x0 is not None and t is not None:
+    if x0 is not None:
         central = is_central(prob.rep, x0)
         checks.append(_entry("x0_central", central))
-        if central:
+        if central and t is not None:
             # the degree-0 square commutes iff (-1)^(n-1) f(x0_g) = 1
             fx0 = sum((a * b for a, b in zip(prob.covector, x0[:prob.dim_g])), Fraction(0))
             skip = gate or ("" if Fraction((-1) ** (prob.n - 1)) * fx0 == 1

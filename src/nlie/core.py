@@ -12,13 +12,13 @@ built from its column table (:meth:`Representation.from_columns`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .combinat import sort_with_sign
-from .linalg import (Coeff, Matrix, Vec, accumulate, basis_vec, from_coords, rank,
-                     solve_linear, vadd, vector, viszero, vscale, vzero)
+from .linalg import (Coeff, Matrix, Vec, _rref, accumulate, basis_vec, from_coords, vadd,
+                     vector, viszero, vscale, vzero)
 from .multilinear import (BlockMap, Element, Key, SpaceSpec, apply_map, basis_entries,
                           split_wedges, sum_space, wedge_leaves, wedge_sums)
 
@@ -329,47 +329,37 @@ def check_n_pre_lie(p: NPreLie) -> CheckReport:
 class SymplecticForm:
     omega: Matrix
 
-    def pairing(self, x: Vec, y: Vec) -> Fraction:
-        return sum((xi * wi for xi, wi in zip(x, self.omega.mul_vec(y))), Fraction(0))
-
 
 def check_symplectic(alg: NLieAlgebra, form: SymplecticForm) -> CheckReport:
+    """ω is compatible iff it is skew and nondegenerate and T = (ωᵀ)⁻¹ is an
+    operator on the coadjoint pair; a failing identity's witness is the
+    increasing tuple of g* indices where `check_rb` first fails."""
+    from .rota_baxter import check_rb  # rota_baxter builds on this module
     d = alg.dim
     w = form.omega
     if (w.rows, w.cols) != (d, d):
         return CheckReport(False, detail="form shape mismatch")
     if w.transpose() != w.scale(Fraction(-1)):
         return CheckReport(False, detail="form not skew-symmetric")
-    if rank(w) != d:
+    try:
+        t = symplectic_operator(alg, form)
+    except ValueError:
         return CheckReport(False, detail="form degenerate")
-    n = alg.n
-    for xs in itertools.combinations(range(d), n):
-        bx = alg.bracket(list(xs))
-        for y in range(d):
-            ey = basis_vec(d, y)
-            lhs = form.pairing(bx, ey)
-            rhs = Fraction(0)
-            for i in range(n):
-                rest = list(xs[:i]) + list(xs[i + 1:])
-                inner = alg.bracket([*rest, y])
-                rhs -= Fraction((-1) ** (n - i - 1)) * form.pairing(basis_vec(d, xs[i]), inner)
-            if lhs != rhs:
-                return CheckReport(False, witness=(xs, y), detail="compatibility fails")
-    return CheckReport(True)
+    identity = check_rb(coadjoint_rep(alg), t)
+    return identity if identity else replace(identity, detail="compatibility fails")
 
 
 def symplectic_operator(alg: NLieAlgebra, form: SymplecticForm) -> Matrix:
-    """The invertible map g* -> g whose inverse sends x to omega(x, ·)."""
-    inv = form.omega.transpose()
-    # T^{-1} e_i = row i of omega, as a covector; invert by solving columns
-    cols = []
-    d = alg.dim
-    for j in range(d):
-        x = solve_linear(inv, basis_vec(d, j))
-        if x is None:
-            raise ValueError("degenerate form")
-        cols.append(x)
-    return Matrix.from_columns(cols)
+    """T = (ωᵀ)⁻¹: g* -> g, whose inverse sends x to ω(x, ·), read off one
+    elimination of [ωᵀ | I]; a degenerate ω leaves a pivot in I."""
+    d, w = alg.dim, form.omega
+    if (w.rows, w.cols) != (d, d):
+        raise ValueError("form shape mismatch")
+    red = _rref([row + basis_vec(d, i) for i, row in enumerate(w.transpose().entries)], 2 * d)
+    if [pc for pc, _ in red] != list(range(d)):
+        raise ValueError("degenerate form")
+    return Matrix.from_fraction_rows(
+        [tuple(Fraction(row.get(d + j, 0), row[pc]) for j in range(d)) for pc, row in red], d)
 
 
 def symplectic_to_pre_lie(alg: NLieAlgebra, form: SymplecticForm) -> NPreLie:

@@ -55,6 +55,10 @@ _PAIR = ("test_representation_oracle.py", "test_semidirect_oracle.py",
          "test_evaluation_oracle.py", "test_core.py")
 _OBSTRUCTION = ("test_obstruction_oracle.py", "test_skew_table_oracle.py", "test_deformation.py")
 _CHAIN = ("test_lift_chain_map_oracle.py", "test_lift.py")
+_SYMPLECTIC = ("test_symplectic_oracle.py", "test_pre_lie_oracle.py", "test_core.py",
+               "test_io_cli.py")
+_CLI = ("test_io_cli.py", "test_cli_fuzz.py", "test_acceptance.py")
+_PARSE = ("test_io_cli.py", "test_io_fuzz.py", "test_acceptance.py")
 KERNELS: dict[str, tuple[str, ...]] = {
     "linalg.Matrix.mul_vec": _EVAL,
     "linalg.Matrix.matmul": ("test_linalg.py", "test_pre_lie_oracle.py", "test_core.py"),
@@ -82,6 +86,8 @@ KERNELS: dict[str, tuple[str, ...]] = {
     "core.semidirect_product": _PAIR,
     "core.check_representation": _PAIR,
     "core.symplectic_to_pre_lie": ("test_pre_lie_oracle.py", "test_core.py"),
+    "core.check_symplectic": _SYMPLECTIC,
+    "core.symplectic_operator": _SYMPLECTIC,
     "cochain._differential": _DIFF,
     "cochain.coboundary": _DIFF,
     "cochain._compose": _BRACKET,
@@ -100,6 +106,13 @@ KERNELS: dict[str, tuple[str, ...]] = {
     "lift.degree0_chain_map_holds": ("test_lift_chain_map_oracle.py", "test_io_cli.py"),
     "deformation.obstruction": _OBSTRUCTION,
     "cli._pair_entries": ("test_pair_verdict_oracle.py", "test_io_cli.py"),
+    "cli.cmd_lift": _CLI,
+    "cli.cmd_deform": _CLI,
+    "cli.oversized_differential": _CLI,
+    "cli.size_refusal": _CLI,
+    "io._indices": _PARSE,
+    "io._parse_cochain": _PARSE,
+    "io.emit_problem": _PARSE,
 }
 
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,

@@ -733,6 +733,40 @@ def oracle_check_n_pre_lie(p: NPreLie) -> CheckReport:
     return CheckReport(True)
 
 
+def _omega(form: SymplecticForm, x: Vec, y: Vec) -> Fraction:
+    """ω(x, y) = Σᵢⱼ xᵢ ωᵢⱼ yⱼ over the nonzero coordinates of x and y."""
+    return sum((xi * wij * yj for xi, row in zip(x, form.omega.entries) if xi
+                for wij, yj in zip(row, y) if yj), _ZERO)
+
+
+def oracle_check_symplectic(alg: NLieAlgebra, form: SymplecticForm) -> CheckReport:
+    """Compatibility as the pairing identity ω([x₁..xₙ], y) =
+    −Σᵢ (−1)^(n−i−1) ω(xᵢ, [x₁..x̂ᵢ..xₙ, y]) on basis tuples, after the shape,
+    skew and rank checks; a failure names (xs, y)."""
+    d = alg.dim
+    w = form.omega
+    if (w.rows, w.cols) != (d, d):
+        return CheckReport(False, detail="form shape mismatch")
+    if w.transpose() != w.scale(Fraction(-1)):
+        return CheckReport(False, detail="form not skew-symmetric")
+    if dense_rank_and_kernel(w)[0] != d:
+        return CheckReport(False, detail="form degenerate")
+    n = alg.n
+    for xs in itertools.combinations(range(d), n):
+        bx = alg.bracket(list(xs))
+        for y in range(d):
+            ey = basis_vec(d, y)
+            lhs = _omega(form, bx, ey)
+            rhs = _ZERO
+            for i in range(n):
+                rest = list(xs[:i]) + list(xs[i + 1:])
+                inner = alg.bracket([*rest, y])
+                rhs -= Fraction((-1) ** (n - i - 1)) * _omega(form, basis_vec(d, xs[i]), inner)
+            if lhs != rhs:
+                return CheckReport(False, witness=(xs, y), detail="compatibility fails")
+    return CheckReport(True)
+
+
 def oracle_symplectic_to_pre_lie(alg: NLieAlgebra, form: SymplecticForm) -> NPreLie:
     """The compatible product defined by pairing against bracket-with-tail."""
     d, n = alg.dim, alg.n
@@ -744,7 +778,7 @@ def oracle_symplectic_to_pre_lie(alg: NLieAlgebra, form: SymplecticForm) -> NPre
             rhs = []
             for y in range(d):
                 inner = alg.bracket([*block, y])
-                rhs.append(-form.pairing(basis_vec(d, t), inner))
+                rhs.append(-_omega(form, basis_vec(d, t), inner))
             c = solve_linear(wt, rhs)
             if c is None:
                 raise ValueError("degenerate form")

@@ -399,10 +399,18 @@ def test_size_guard_closed_form():
         # the scan stops at the first refused degree, whatever --max-m is
         assert oversized_differential(prob, 10 ** 9, target, limit) == (4, 20736, 3456)
         assert oversized_differential(prob, 2, target, 576 * 96 - 1) == (2, 576, 96)
+        assert oversized_differential(prob, 2, target, 576 * 96) is None
+    # the pair's scan starts at d_1 (96 x 16)
+    assert oversized_differential(prob, 1, "pair", 96 * 16 - 1) == (1, 96, 16)
     # the operator's degree 0: d_0 is 3000 x 3000 for dim g = 3000, dim V = 1
     wide = abelian(2, 3000)
     assert oversized_differential(Problem(2, wide, zero_representation(wide, 1)),
                                   0, "operator", limit) == (0, 3000, 3000)
+    # the walk bound applies only once C(d, n−1) ≤ 1: the plane's d_1 on a
+    # line (4 x 2, C(2, 1) = 2) costs 8, not (4 + 1)·(2 + 1)·1³ = 15
+    plane = abelian(2, 2)
+    assert oversized_differential(Problem(2, plane, zero_representation(plane, 1)),
+                                  1, "pair", 8) is None
     # sizes that stop growing, with C(2, 2) = 1 and C(1, 2) = 0 blocks over V,
     # still cost (rows + 1)·(cols + 1)·m³ per degree, so the scan ends
     small = abelian(3, 3)
@@ -874,3 +882,148 @@ def test_main_builds_one_parser_and_answers_like_fresh_processes(tmp_path, capsy
     assert [code for code, _, _ in in_process] == [0, 2, 0, 0]
     assert all(json.loads(out)["verdict"] for code, out, _ in in_process if code == 0)
     assert cli._parser() is cli._parser()
+
+
+# --- symplectic forms in `verify` ----------------------------------------------
+
+NILP4_OMEGA = [["0", "0", "0", "1"], ["0", "0", "1", "0"],
+               ["0", "-1", "0", "0"], ["-1", "0", "0", "0"]]
+
+
+def test_cli_verify_passes_the_nilp4_form(tmp_path, capsys):
+    path = write(tmp_path, "p.json", dict(NILP_FILE, omega=NILP4_OMEGA))
+    assert main(["verify", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {"check": "symplectic", "status": "pass"} in report["checks"]
+
+
+def test_cli_verify_names_where_an_incompatible_form_fails(tmp_path, capsys):
+    """ω = e¹∧e² + e³∧e⁴ on h3 ⊕ R is skew and nondegenerate, but (ωᵀ)⁻¹ is
+    no operator on the coadjoint pair: the witness is the failing increasing
+    pair of g* indices, 1-based."""
+    payload = {"schema_version": "1", "n": 2,
+               "g": {"dim": 4, "bracket": [{"args": [1, 2], "value": {"3": "1"}}]},
+               "V": {"dim": 1}, "rho": [],
+               "omega": [["0", "1", "0", "0"], ["-1", "0", "0", "0"],
+                         ["0", "0", "0", "1"], ["0", "0", "-1", "0"]]}
+    assert main(["verify", write(tmp_path, "p.json", payload), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] is False
+    assert [c for c in report["checks"] if c["status"] == "fail"] == [
+        {"check": "symplectic", "status": "fail", "witness": [1, 2],
+         "detail": "compatibility fails"}]
+
+
+# --- lift: x0 ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("x0, central", [((1, 0, 0), False), ((0, 0, 1), True)])
+def test_cli_lift_checks_x0_without_T(tmp_path, capsys, x0, central):
+    """Centrality does not depend on T: without one, x0 is still checked,
+    the degree-0 square (which needs T) is not reported, and the operator
+    cochains are `absent`."""
+    payload = dict(heis3_deep_cochain_file(1), x0=[*map(str, x0), "0", "0", "0"])
+    payload["cochains"] = [{"space": "operator", "degree": d, "entries": []} for d in (1, 2)]
+    assert main(["lift", write(tmp_path, "p.json", payload), "--json"]) == (0 if central else 1)
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    names = [c["check"] for c in checks]
+    assert "operator_chain_map_degree0" not in names
+    assert checks[names.index("x0_central")] == {
+        "check": "x0_central", "status": "pass" if central else "fail"}
+    for i in (0, 1):
+        assert checks[names.index(f"operator_chain_map[{i}]")]["status"] == "absent"
+
+
+@pytest.mark.parametrize("sign, status", [(-1, "pass"), (1, "skipped")])
+def test_cli_lift_normalizes_x0_with_the_sign_of_the_arity(tmp_path, capsys, sign, status):
+    """At n = 2 the degree-0 square needs (−1)^(n−1)·f(x0_g) = −f(x0_g) = 1:
+    on heis3 ⊕ R with f = e⁴* and the zero operator, x0 = −e4 gets the
+    square and x0 = e4 is not normalized."""
+    alg = heis3_plus_line()
+    x0 = (0, 0, 0, sign, 0, 0, 0, 0)
+    prob = Problem(2, alg, adjoint_rep(alg), operator=Matrix.zero(4, 4),
+                   covector=(0, 0, 0, 1), x0=x0)
+    path = tmp_path / "p.json"
+    path.write_text(emit_problem(prob))
+    assert main(["lift", str(path), "--json"]) == 0
+    entry = next(c for c in json.loads(capsys.readouterr().out)["checks"]
+                 if c["check"] == "operator_chain_map_degree0")
+    assert entry["status"] == status
+    if status == "skipped":
+        assert entry["detail"] == "x0 not normalized: (-1)^(n-1)·f(x0_g) != 1"
+
+
+def test_cli_lift_notes_the_antisymmetrized_component(tmp_path, capsys):
+    """A degree-2 pair cochain on heis3 is checked on its wedge-tail
+    component, and the entry says so only when that differs from the file's
+    cochain."""
+    payload = heis3_deep_cochain_file(2)
+    one = {"blocks": [[1]], "tail": 2, "value": {"3": "1"}}
+    payload["cochains"] = [{"space": "pair", "degree": 2, "entries": entries}
+                           for entries in ([one], [one, {**one, "blocks": [[2]], "tail": 1,
+                                                         "value": {"3": "-1"}}])]
+    main(["lift", write(tmp_path, "p.json", payload), "--json"])
+    entries = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert entries["pair_chain_map[0]"]["detail"] == "antisymmetrized wedge-tail component"
+    assert "detail" not in entries["pair_chain_map[1]"]
+
+
+# --- deform: the gauge ---------------------------------------------------------------
+
+def test_cli_deform_equivalence_writes_1_based_gauge_keys(tmp_path, capsys):
+    """On the one-block file, T₁' − T₁ = d(e1∧e2) for T₁ = 0: the gauge is
+    e1∧e2, keyed 1-based."""
+    zero = [["0", "0"], ["0", "0"], ["0", "0"]]
+    payload = dict(ONE_BLOCK_FILE, deformation=[zero],
+                   deformation_prime=[[["0", "0"], ["0", "0"], ["0", "1"]]])
+    path = write(tmp_path, "p.json", payload)
+    assert main(["deform", path, "--action", "equivalence", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["gauge"] == {"1^2": "1"}
+
+
+# --- the parser and the writer ----------------------------------------------------------
+
+def test_repeated_index_is_an_input_error(tmp_path, capsys):
+    bad = dict(NILP_FILE)
+    bad["g"] = {"dim": 4, "bracket": [{"args": [1, 1, 2], "value": {"4": 1}}]}
+    assert main(["verify", write(tmp_path, "p.json", bad)]) == 2
+    assert "g.bracket[0]: indices must be strictly increasing" in capsys.readouterr().err
+
+
+def test_block_cochains_survive_a_round_trip():
+    """Blocks and tails are 1-based in the file and 0-based inside, both
+    ways; the file is written with a 2-space indent."""
+    cochain = {"space": "pair", "degree": 2,
+               "entries": [{"blocks": [[3, 4]], "tail": 4, "value": {"1": 1}},
+                           {"blocks": [[1, 2]], "tail": 1, "value": {"4": "-1/2"}}]}
+    prob = parse_problem(json.dumps(dict(NILP_FILE, cochains=[cochain])))
+    (space, bm), = prob.cochains
+    assert space == "pair" and bm.blocks == 1
+    assert bm.table == {((2, 3), 3): (1, 0, 0, 0), ((0, 1), 0): (0, 0, 0, Fraction(-1, 2))}
+    emitted = emit_problem(prob)
+    assert json.loads(emitted)["cochains"] == [{**cochain, "entries": cochain["entries"][::-1]}]
+    assert emitted.splitlines()[1] == '  "V": {'
+    assert parse_problem(emitted).cochains[0][1].table == bm.table
+
+
+# --- the size guard's messages at the limit -------------------------------------------------
+
+def test_size_refusal_at_the_limit():
+    """A cost equal to the limit is admitted.  abelian(3, 3) on a 2-dim
+    module has C(2, 2) = 1, so the operator's d_1 is 6 x 6 = 36 entries but
+    costs (6 + 1)·(6 + 1)·1³ = 49 as a walk, and the refusal names the walk
+    while the matrix itself is within the limit."""
+    cross4 = cross4_problem()
+    for target in ("pair", "operator"):
+        assert cli.size_refusal(cross4, 2, target, 576 * 96) is None
+        assert cli.size_refusal(cross4, 2, target, 576 * 96 - 1) == (
+            "d_2 would be a 576 x 96 matrix (55296 entries), over the limit of 55295")
+    small = abelian(3, 3)
+    prob = Problem(3, small, zero_representation(small, 2))
+    assert cli.size_refusal(prob, 1, "operator", 49) is None
+    for limit in (36, 48):
+        assert cli.size_refusal(prob, 1, "operator", limit) == (
+            f"d_1 is 6 x 6, but the walk of degree 1, (6 + 1)·(6 + 1)·1^3 = 49, "
+            f"is over the limit of {limit}")
+    assert cli.size_refusal(prob, 1, "operator", 35) == (
+        "d_1 would be a 6 x 6 matrix (36 entries), over the limit of 35")
